@@ -46,14 +46,8 @@ class Oracle {
   using AnswerProvider =
       std::function<std::vector<char>(const std::vector<size_t>&)>;
 
-  /// `index_offset` shifts the index fed to the error-injection hash (not
-  /// the workload lookup): a shard-local oracle over a slice beginning at
-  /// global pair `offset` constructs with that offset so its
-  /// InlineAnswer(local) equals the global oracle's InlineAnswer(local +
-  /// offset) — the simulated human's verdict is a property of the PAIR, not
-  /// of which shard happens to ask. 0 (the default) is the one-shot case.
   explicit Oracle(const data::Workload* workload, double error_rate = 0.0,
-                  uint64_t seed = 99, uint64_t index_offset = 0);
+                  uint64_t seed = 99);
 
   /// Human-labels pair `index`; returns true when labeled match.
   bool Label(size_t index);
@@ -142,7 +136,6 @@ class Oracle {
   const data::Workload* workload_;
   double error_rate_;
   uint64_t seed_;
-  uint64_t index_offset_;
   size_t total_requests_ = 0;
   size_t inspected_ = 0;
   size_t preloaded_ = 0;

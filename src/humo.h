@@ -93,22 +93,6 @@
 ///   oracle.SetAnswerProvider(broker.Provider());
 ///   // broker.stats(): tasks issued, votes bought, answers inferred free
 ///
-/// To spread one resolution across CPU cores or worker PROCESSES, the shard
-/// coordinator (core/shard_coordinator.h) partitions the sorted workload
-/// into K contiguous computation shards (subset boundaries never straddle a
-/// shard), splits the oracle budget proportionally via
-/// stats::AllocateSamples, fans each oracle batch out to per-shard workers
-/// (in-process on the thread pool, or forked processes talking frames over
-/// common/ipc_channel.h), and merges the per-shard evidence and Beta
-/// posteriors in deterministic shard order. The merged solution, labeling,
-/// and oracle cost are bit-identical to the one-shot resolver at ANY K:
-///
-///   core::ShardedOptions sharding;           // num_shards=4, in-process
-///   sharding.transport = core::ShardTransport::kFork;  // worker processes
-///   core::ShardCoordinator coordinator(sharding, req);
-///   auto cert = coordinator.Resolve(w);      // == streaming.Certify()
-///   // cert->shards[k].answered, cert->merged_strata, cert->posterior_alpha
-///
 /// Machine-side heavy paths (GP kernel matrices, Cholesky factorization,
 /// workload simulation) run on a thread pool sized by the HUMO_NUM_THREADS
 /// environment variable (default: hardware concurrency); results are
@@ -117,8 +101,6 @@
 #include "actl/active_learning.h"
 #include "common/csv.h"
 #include "common/env.h"
-#include "common/ipc_channel.h"
-#include "common/logging.h"
 #include "common/random.h"
 #include "common/result.h"
 #include "common/status.h"
@@ -132,7 +114,6 @@
 #include "core/estimation_engine.h"
 #include "core/gp_subset_model.h"
 #include "core/hybrid_optimizer.h"
-#include "core/machine_metric.h"
 #include "core/oracle.h"
 #include "core/paged_bitmap.h"
 #include "core/partial_sampling_optimizer.h"
@@ -140,8 +121,6 @@
 #include "core/resolution_service.h"
 #include "core/risk_aware_optimizer.h"
 #include "core/risk_model.h"
-#include "core/shard_coordinator.h"
-#include "core/sharded_resolver.h"
 #include "core/solution.h"
 #include "core/streaming_resolver.h"
 #include "data/blocking.h"
@@ -149,7 +128,6 @@
 #include "data/logistic_generator.h"
 #include "data/mmap_columns.h"
 #include "data/pair_simulator.h"
-#include "data/persistence.h"
 #include "data/perturbation.h"
 #include "data/product_generator.h"
 #include "data/publication_generator.h"
@@ -184,7 +162,6 @@
 #include "text/attribute_similarity.h"
 #include "text/edit_distance.h"
 #include "text/jaro.h"
-#include "text/phonetic.h"
 #include "text/simd_similarity.h"
 #include "text/tfidf.h"
 #include "text/token_dictionary.h"

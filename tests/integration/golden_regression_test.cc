@@ -10,7 +10,9 @@
 #include "core/partial_sampling_optimizer.h"
 #include "core/risk_aware_optimizer.h"
 #include "core/solution.h"
+#include "core/streaming_resolver.h"
 #include "data/pair_simulator.h"
+#include "data/workload_stream.h"
 #include "entity/entity_clustering.h"
 #include "eval/entity_metrics.h"
 #include "eval/evaluation.h"
@@ -183,6 +185,32 @@ TEST_F(GoldenRegressionTest, AbSnapshotExact) {
     SCOPED_TRACE(row.optimizer);
     CheckRow(ab_, row);
   }
+}
+
+/// A one-shot StreamingResolver (one Ingest of the whole workload, then
+/// Certify) at the golden optimizer seed must land exactly on the shared
+/// SAMP reference: the streaming path certifies what the batch SAMP run
+/// certifies, at the same human cost.
+void CheckStreamingOneShot(const data::Workload& w,
+                           const eval::GoldenSampReference& golden) {
+  core::StreamingOptions options;
+  options.sampling.seed = kSeed;
+  core::StreamingResolver resolver(options, {0.9, 0.9, 0.9});
+  resolver.Ingest(data::Shard{0, w.MaterializePairs()});
+  const auto certificate = resolver.Certify();
+  ASSERT_TRUE(certificate.ok()) << certificate.status().message();
+  EXPECT_EQ(certificate->total_inspections, golden.human_cost);
+  const auto quality = eval::QualityOf(w, certificate->resolution.labels);
+  EXPECT_EQ(quality.precision, golden.precision);  // exact, not NEAR
+  EXPECT_EQ(quality.recall, golden.recall);
+}
+
+TEST_F(GoldenRegressionTest, DsStreamingOneShotExact) {
+  CheckStreamingOneShot(ds_, eval::kGoldenSampDs);
+}
+
+TEST_F(GoldenRegressionTest, AbStreamingOneShotExact) {
+  CheckStreamingOneShot(ab_, eval::kGoldenSampAb);
 }
 
 TEST(GoldenReferenceTest, SharedSampRowsMatchGoldenTable) {

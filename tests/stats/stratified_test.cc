@@ -130,134 +130,5 @@ TEST(CombineStrataTest, CoverageSimulation) {
   EXPECT_GE(static_cast<double>(covered) / reps, 0.85);
 }
 
-// ---------------------------------------------------------------------------
-// AllocateSamples under SHARD-shaped inputs: the shard coordinator feeds it
-// one stratum per computation shard (population = shard pair count) to split
-// the oracle budget. These are the shapes that sharding actually produces.
-// ---------------------------------------------------------------------------
-
-std::vector<Stratum> Populations(std::initializer_list<size_t> pops) {
-  std::vector<Stratum> strata;
-  for (const size_t p : pops) {
-    Stratum st;
-    st.population = p;
-    strata.push_back(st);
-  }
-  return strata;
-}
-
-size_t Sum(const std::vector<size_t>& v) {
-  size_t total = 0;
-  for (const size_t x : v) total += x;
-  return total;
-}
-
-TEST(AllocateSamplesShardTest, ZeroPopulationShardsGetNothing) {
-  // PlanShards never emits empty shards, but the allocator must not rely on
-  // that: a zero-population stratum takes no budget and steals none.
-  const auto alloc = AllocateSamples(Populations({0, 1000, 0, 3000}), 400);
-  ASSERT_EQ(alloc.size(), 4u);
-  EXPECT_EQ(alloc[0], 0u);
-  EXPECT_EQ(alloc[2], 0u);
-  EXPECT_EQ(Sum(alloc), 400u);
-  EXPECT_EQ(alloc[1], 100u);  // proportional: 1000/4000 of 400
-  EXPECT_EQ(alloc[3], 300u);
-}
-
-TEST(AllocateSamplesShardTest, BudgetAbovePopulationCapsAtPopulation) {
-  // The unlimited-budget path of the coordinator (budget == total
-  // population) and anything beyond it: every shard is allocated exactly
-  // its population, never more.
-  for (const size_t budget : {4000ul, 4001ul, 1000000ul}) {
-    const auto alloc = AllocateSamples(Populations({1000, 3000}), budget);
-    ASSERT_EQ(alloc.size(), 2u);
-    EXPECT_EQ(alloc[0], 1000u) << budget;
-    EXPECT_EQ(alloc[1], 3000u) << budget;
-  }
-}
-
-TEST(AllocateSamplesShardTest, SingleShardDegeneracy) {
-  // K = 1 sharding: the whole budget lands on the only shard, capped at its
-  // population.
-  EXPECT_EQ(AllocateSamples(Populations({5000}), 1234)[0], 1234u);
-  EXPECT_EQ(AllocateSamples(Populations({5000}), 9999)[0], 5000u);
-  EXPECT_EQ(AllocateSamples(Populations({5000}), 0)[0], 0u);
-}
-
-TEST(AllocateSamplesShardTest, LargestRemainderTiesBreakByIndex) {
-  // Four equal shards, budget leaving 2 leftover units after the floor
-  // pass: every fractional remainder ties, so the leftover goes to the
-  // LOWEST indices — deterministically, run after run.
-  const auto alloc = AllocateSamples(Populations({100, 100, 100, 100}), 10);
-  ASSERT_EQ(alloc.size(), 4u);
-  EXPECT_EQ(Sum(alloc), 10u);
-  EXPECT_EQ(alloc[0], 3u);
-  EXPECT_EQ(alloc[1], 3u);
-  EXPECT_EQ(alloc[2], 2u);
-  EXPECT_EQ(alloc[3], 2u);
-  // Determinism: byte-for-byte identical on a rerun.
-  EXPECT_EQ(alloc, AllocateSamples(Populations({100, 100, 100, 100}), 10));
-}
-
-TEST(AllocateSamplesShardTest, UnevenShardSplitStaysProportionalAndExact) {
-  // The (m * i) / K boundary math gives near-equal but not equal shard
-  // sizes; the allocation must still sum exactly to the budget with each
-  // shard within one unit of its exact proportional share.
-  const std::vector<size_t> pops = {4200, 4000, 4000, 3800};
-  std::vector<Stratum> strata;
-  for (const size_t p : pops) {
-    Stratum st;
-    st.population = p;
-    strata.push_back(st);
-  }
-  const size_t budget = 1601;
-  const auto alloc = AllocateSamples(strata, budget);
-  EXPECT_EQ(Sum(alloc), budget);
-  for (size_t k = 0; k < pops.size(); ++k) {
-    const double exact = static_cast<double>(budget) *
-                         static_cast<double>(pops[k]) / 16000.0;
-    EXPECT_NEAR(static_cast<double>(alloc[k]), exact, 1.0) << k;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// ReallocateUnspent: the coordinator's post-run budget settlement.
-// ---------------------------------------------------------------------------
-
-TEST(ReallocateUnspentTest, UnderSpendFundsOverDemandInIndexOrder) {
-  // Shard 0 under-spent by 30; shards 1 and 2 over-demanded. The pool
-  // drains into deficits in ascending index order.
-  const auto grant = ReallocateUnspent({100, 50, 50}, {70, 70, 60});
-  ASSERT_EQ(grant.size(), 3u);
-  EXPECT_EQ(grant[0], 70u);
-  EXPECT_EQ(grant[1], 70u);  // deficit 20, fully funded first
-  EXPECT_EQ(grant[2], 60u);  // remaining 10 covers the rest
-}
-
-TEST(ReallocateUnspentTest, GrantNeverExceedsDemand) {
-  const auto grant = ReallocateUnspent({500, 500}, {10, 20});
-  EXPECT_EQ(grant[0], 10u);
-  EXPECT_EQ(grant[1], 20u);
-}
-
-TEST(ReallocateUnspentTest, ExhaustedPoolLeavesTailDeficitsUnfunded) {
-  // Total allocation 100 < total demand 130: the sum of grants equals the
-  // allocation total, and the shortfall lands on the highest indices.
-  const auto grant = ReallocateUnspent({60, 20, 20}, {30, 50, 50});
-  EXPECT_EQ(grant[0], 30u);
-  EXPECT_EQ(grant[1], 50u);
-  EXPECT_EQ(grant[2], 20u);  // 10 of its 30-unit deficit never funded
-  EXPECT_EQ(Sum(grant), 100u);
-}
-
-TEST(ReallocateUnspentTest, ExactSpendIsIdentity) {
-  const std::vector<size_t> demand = {7, 0, 19};
-  EXPECT_EQ(ReallocateUnspent(demand, demand), demand);
-}
-
-TEST(ReallocateUnspentTest, EmptyInput) {
-  EXPECT_TRUE(ReallocateUnspent({}, {}).empty());
-}
-
 }  // namespace
 }  // namespace humo::stats
