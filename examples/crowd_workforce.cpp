@@ -34,6 +34,8 @@ int main() {
       crowd_opts.workers_per_pair = k;
       crowd_opts.worker_error_rate = err;
       core::CrowdOracle crowd(&workload, crowd_opts);
+      core::Oracle executor(&workload);
+      executor.SetAnswerProvider(crowd.Provider());
 
       // Execute DH with the crowd.
       std::vector<int> labels(workload.size(), 0);
@@ -41,7 +43,7 @@ int main() {
       const size_t dh_end = partition[sol->h_hi].end;
       for (size_t i = 0; i < workload.size(); ++i) {
         if (i >= dh_begin && i < dh_end) {
-          labels[i] = crowd.Label(i) ? 1 : 0;
+          labels[i] = executor.Label(i) ? 1 : 0;
         } else if (i >= dh_end) {
           labels[i] = 1;
         }

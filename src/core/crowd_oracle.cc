@@ -85,8 +85,8 @@ void CrowdOracle::AssignWorkers(size_t index,
   }
 }
 
-void CrowdOracle::AdjudicateFresh(const std::vector<size_t>& fresh) {
-  if (fresh.empty()) return;
+std::vector<char> CrowdOracle::Answer(const std::vector<size_t>& fresh) {
+  if (fresh.empty()) return {};
   const size_t k = options_.workers_per_pair;
   const bool ds = options_.aggregation == CrowdAggregation::kDawidSkene &&
                   options_.worker_pool > 0;
@@ -129,16 +129,16 @@ void CrowdOracle::AdjudicateFresh(const std::vector<size_t>& fresh) {
   // fixed-iteration EM over the FULL purchase-ordered history, so every
   // earlier purchase sharpens the worker-confusion estimates the fresh
   // pairs are adjudicated under; already-fixed verdicts are never revised.
-  std::vector<char> use_ds(fresh.size(), 0);
+  const bool use_ds = ds && vote_items_ >= options_.ds_min_adjudicated;
   stats::DawidSkeneResult em;
-  if (ds && vote_items_ >= options_.ds_min_adjudicated) {
+  if (use_ds) {
     stats::DawidSkeneOptions emo;
     emo.iterations = options_.ds_em_iterations;
     em = stats::RunDawidSkene(vote_items_, options_.worker_pool, votes_, emo);
     worker_error_estimates_ = em.error_rate;
-    std::fill(use_ds.begin(), use_ds.end(), 1);
   }
   const size_t first_item = vote_items_ - (ds ? fresh.size() : 0);
+  std::vector<char> verdicts(fresh.size());
   for (size_t t = 0; t < fresh.size(); ++t) {
     const size_t index = fresh[t];
     size_t votes_match = 0;
@@ -146,7 +146,7 @@ void CrowdOracle::AdjudicateFresh(const std::vector<size_t>& fresh) {
       votes_match += batch_votes[t * k + slot] != 0;
     }
     bool verdict;
-    if (use_ds[t]) {
+    if (use_ds) {
       const double p = em.posterior[first_item + t];
       // Exact 0.5 posterior (e.g. symmetric evidence): majority decides.
       verdict = p > 0.5 ||
@@ -155,79 +155,20 @@ void CrowdOracle::AdjudicateFresh(const std::vector<size_t>& fresh) {
       verdict = votes_match * 2 > k;
     }
     if (verdict != workload_->IsMatch(index)) ++wrong_verdicts_;
-    verdicts_.Record(index, verdict);
-    ++adjudicated_;
+    verdicts[t] = verdict ? 1 : 0;
   }
-}
-
-bool CrowdOracle::Label(size_t index) {
-  assert(index < workload_->size());
-  ++total_requests_;
-  if (verdicts_.Known(index)) return verdicts_.Answer(index);
-  AdjudicateFresh({index});
-  return verdicts_.Answer(index);
-}
-
-std::vector<char> CrowdOracle::InspectBatch(
-    const std::vector<size_t>& indices) {
-  // Collect the distinct unknown pairs in first-occurrence order and
-  // adjudicate them as ONE purchase, then serve the whole batch from
-  // memory. Counters land exactly where a per-pair Label loop puts them.
-  std::vector<size_t> fresh;
-  fresh.reserve(indices.size());
-  for (const size_t index : indices) {
-    assert(index < workload_->size());
-    if (!verdicts_.Known(index) &&
-        std::find(fresh.begin(), fresh.end(), index) == fresh.end()) {
-      fresh.push_back(index);
-    }
-  }
-  AdjudicateFresh(fresh);
-  std::vector<char> verdicts(indices.size());
-  for (size_t t = 0; t < indices.size(); ++t) {
-    ++total_requests_;
-    verdicts[t] = verdicts_.Answer(indices[t]) ? 1 : 0;
-  }
+  adjudicated_ += fresh.size();
   return verdicts;
 }
 
-size_t CrowdOracle::InspectRange(size_t begin, size_t end) {
-  assert(begin <= end && end <= workload_->size());
-  std::vector<size_t> range(end - begin);
-  for (size_t i = begin; i < end; ++i) range[i - begin] = i;
-  const std::vector<char> verdicts = InspectBatch(range);
-  size_t matches = 0;
-  for (const char v : verdicts) matches += v != 0;
-  return matches;
-}
-
-void CrowdOracle::Preload(size_t index, bool verdict) {
-  assert(index < workload_->size());
-  if (verdicts_.Record(index, verdict)) ++preloaded_;
-}
-
-double CrowdOracle::CostFraction() const {
-  if (workload_->size() == 0) return 0.0;
-  return static_cast<double>(worker_answers_) /
-         static_cast<double>(workload_->size());
+Oracle::AnswerProvider CrowdOracle::Provider() {
+  return [this](const std::vector<size_t>& fresh) { return Answer(fresh); };
 }
 
 double CrowdOracle::VerdictErrorRate() const {
   if (adjudicated_ == 0) return 0.0;
   return static_cast<double>(wrong_verdicts_) /
          static_cast<double>(adjudicated_);
-}
-
-void CrowdOracle::Reset() {
-  verdicts_.Clear();
-  worker_answers_ = 0;
-  wrong_verdicts_ = 0;
-  total_requests_ = 0;
-  adjudicated_ = 0;
-  preloaded_ = 0;
-  votes_.clear();
-  vote_items_ = 0;
-  worker_error_estimates_.clear();
 }
 
 }  // namespace humo::core

@@ -1,10 +1,9 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
-#include "core/paged_bitmap.h"
+#include "core/oracle.h"
 #include "data/workload.h"
 #include "stats/dawid_skene.h"
 
@@ -77,74 +76,38 @@ CrowdOptions ValidateCrowdOptions(CrowdOptions options);
 /// error worker the same as a 2% one; kDawidSkene recovers each worker's
 /// confusion from the vote history and weights accordingly.
 ///
-/// Verdict memory uses the same paged bitmap as core::Oracle, so a crowd
-/// pass over a 10M-pair workload holds megabytes, not the >0.5 GiB an
-/// unordered_map verdict cache would. The oracle also carries the same
-/// evidence seam as core::Oracle — Preload / AnswerSnapshot with direct
-/// purchased-vs-preloaded counters — so streaming re-keying and review
-/// fold-in behave identically whichever backend answers the human's
-/// questions.
+/// The crowd buys votes; it does not remember verdicts. It plugs into a
+/// core::Oracle as an answer provider (Provider(), or wrapped by a
+/// CrowdTaskBroker), and the Oracle is the one store of answered pairs:
+/// it asks the crowd only about pairs it has no answer for, and carries
+/// preloads, snapshots and the distinct-pair cost.
 ///
-/// Determinism: votes are pure functions of (seed, pair, worker), the EM
-/// runs a fixed iteration count over the purchase-ordered vote history, and
-/// a pair's verdict is fixed at adjudication time and never revised — so
-/// any request sequence replays bit-identically, at any thread count.
+/// Determinism: votes are pure functions of (seed, pair, worker), and the
+/// EM runs a fixed iteration count over the purchase-ordered vote history,
+/// so any request sequence replays bit-identically, at any thread count.
 class CrowdOracle {
  public:
   CrowdOracle(const data::Workload* workload, CrowdOptions options = {});
 
-  /// Verdict for pair `index`; repeat queries return the cached verdict
-  /// without re-asking the crowd.
-  bool Label(size_t index);
+  /// Purchases `workers_per_pair` votes for each pair of `fresh` and folds
+  /// them into one verdict per pair, parallel to the input (the
+  /// Oracle::AnswerProvider contract: distinct pairs, first-occurrence
+  /// order). One call is one posted task group on a crowdsourcing
+  /// platform; under kDawidSkene the call's votes join the history before
+  /// the EM adjudicates them.
+  std::vector<char> Answer(const std::vector<size_t>& fresh);
 
-  /// Batch adjudication: verdicts for `indices`, parallel to the input. One
-  /// batch is one posted task group on a crowdsourcing platform; worker
-  /// answers are purchased only for pairs without a cached verdict, and
-  /// under kDawidSkene the batch's fresh votes join the history before the
-  /// EM adjudicates them.
-  std::vector<char> InspectBatch(const std::vector<size_t>& indices);
-
-  /// Batch adjudication of the contiguous pair range [begin, end); returns
-  /// the number of match verdicts among them.
-  size_t InspectRange(size_t begin, size_t end);
-
-  /// Seeds the verdict memory with a verdict that was already paid for
-  /// elsewhere — the same evidence-carry seam as core::Oracle::Preload
-  /// (streaming re-keying across epoch merges, review fold-in). A preloaded
-  /// verdict is free: no worker answers, no requests, and later queries are
-  /// served from memory exactly like an adjudicated pair. Preloading an
-  /// index that already has a verdict is a no-op.
-  void Preload(size_t index, bool verdict);
-
-  /// Number of verdicts seeded through Preload (and still distinct from
-  /// any purchased adjudication).
-  size_t preloaded() const { return preloaded_; }
+  /// The closure over Answer to install via Oracle::SetAnswerProvider.
+  Oracle::AnswerProvider Provider();
 
   /// Total worker answers purchased.
   size_t worker_answers() const { return worker_answers_; }
 
-  /// Every pair index ever requested, including repeats served from the
-  /// verdict cache.
-  size_t total_requests() const { return total_requests_; }
-
-  /// Requests served from the verdict cache (adjudicated earlier or
-  /// preloaded) instead of a fresh crowd purchase — mirrors
-  /// core::Oracle::duplicate_requests().
-  size_t duplicate_requests() const { return total_requests_ - adjudicated_; }
-
-  /// Distinct pairs adjudicated by PURCHASED worker answers. Preloaded
-  /// verdicts are excluded — they were paid for wherever they were
-  /// originally adjudicated. Tracked directly (not derived from the verdict
-  /// memory size), so no preload/inspect ordering can skew it.
+  /// Distinct pairs adjudicated by purchased worker answers.
   size_t pairs_adjudicated() const { return adjudicated_; }
 
-  /// Worker answers divided by workload size: the crowd-cost analogue of
-  /// the paper's psi.
-  double CostFraction() const;
-
-  /// Fraction of PURCHASED adjudications whose verdict disagrees with the
-  /// ground truth (observable in simulation only; used by tests and
-  /// benches). Preloaded verdicts are not counted.
+  /// Fraction of adjudications whose verdict disagrees with the ground
+  /// truth (observable in simulation only; used by tests and benches).
   double VerdictErrorRate() const;
 
   /// The latent error rate planted for pool worker `worker` — what the
@@ -158,39 +121,17 @@ class CrowdOracle {
     return worker_error_estimates_;
   }
 
-  /// True if the pair already has a verdict (adjudicated or preloaded).
-  bool WasAsked(size_t index) const { return verdicts_.Known(index); }
-
-  /// The remembered verdict for a pair with one (free lookup; does not
-  /// count as a request). Precondition: WasAsked(index).
-  bool CachedAnswer(size_t index) const { return verdicts_.Answer(index); }
-
-  /// Every (index, verdict) held in memory — purchased and preloaded alike
-  /// — ascending by index; the crowd-backend analogue of
-  /// core::Oracle::AnswerSnapshot for streaming evidence re-keying.
-  std::vector<std::pair<size_t, bool>> AnswerSnapshot() const {
-    return verdicts_.Snapshot();
-  }
-
   const CrowdOptions& options() const { return options_; }
 
-  void Reset();
-
  private:
-  /// Purchases votes and fixes verdicts for `fresh` (distinct, unknown)
-  /// pairs, in order.
-  void AdjudicateFresh(const std::vector<size_t>& fresh);
   /// The `workers_per_pair` distinct pool workers assigned to `index`.
   void AssignWorkers(size_t index, std::vector<uint32_t>* workers) const;
 
   const data::Workload* workload_;
   CrowdOptions options_;
-  PagedAnswerBitmap verdicts_;
   size_t worker_answers_ = 0;
   size_t wrong_verdicts_ = 0;
-  size_t total_requests_ = 0;
   size_t adjudicated_ = 0;
-  size_t preloaded_ = 0;
   /// Purchase-ordered vote history (kDawidSkene only): item t is the t-th
   /// adjudicated pair.
   std::vector<stats::CrowdVote> votes_;

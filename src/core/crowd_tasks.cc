@@ -182,8 +182,9 @@ uint64_t CrowdTaskBroker::RightKey(size_t pair) const {
 std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
   std::vector<char> answers(indices.size(), 0);
   // Positions (into `indices`) still awaiting an answer. Duplicate indices
-  // are tolerated (each position resolves on its own; the crowd oracle's
-  // verdict cache makes the second purchase free).
+  // are tolerated: each position resolves on its own, and a pair is bought
+  // at most once because every round serves all positions of the pairs it
+  // purchased.
   std::vector<size_t> pending(indices.size());
   for (size_t p = 0; p < indices.size(); ++p) pending[p] = p;
 
@@ -197,12 +198,6 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
     for (const size_t p : pending) {
       const size_t i = indices[p];
       assert(i < workload_->size());
-      if (crowd_->WasAsked(i)) {
-        // Already adjudicated (or preloaded) on the crowd side: a free
-        // cache read, neither purchased nor inferred.
-        answers[p] = crowd_->CachedAnswer(i) ? 1 : 0;
-        continue;
-      }
       int inferred = inference_.Infer(LeftKey(i), RightKey(i));
       if (inferred == TransitiveInference::kMatch &&
           !options_.infer_transitivity) {
@@ -273,23 +268,25 @@ std::vector<char> CrowdTaskBroker::Answer(const std::vector<size_t>& indices) {
     // inference is forgone by not re-packing between tasks.
     const std::vector<CrowdTask> tasks =
         PackCrowdTasks(*workload_, std::move(selected), options_);
+    std::unordered_map<size_t, char> purchased;
     for (const CrowdTask& task : tasks) {
-      const std::vector<char> verdicts =
-          crowd_->InspectBatch(task.pair_indices);
+      const std::vector<char> verdicts = crowd_->Answer(task.pair_indices);
       ++stats_.tasks_posted;
       stats_.pairs_purchased += task.pair_indices.size();
       for (size_t t = 0; t < task.pair_indices.size(); ++t) {
         const size_t i = task.pair_indices[t];
+        purchased.emplace(i, verdicts[t]);
         inference_.Observe(LeftKey(i), RightKey(i), verdicts[t] != 0);
       }
     }
-    // Serve every pending position the round answered (purchased pairs are
-    // a subset of the pending set by construction).
+    // Serve every pending position the round purchased from the purchased
+    // verdict itself, never from the closure: first purchase wins, so a
+    // verdict the closure dropped as a conflict is still what was bought.
     still_pending.clear();
     for (const size_t p : pending) {
-      const size_t i = indices[p];
-      if (crowd_->WasAsked(i)) {
-        answers[p] = crowd_->CachedAnswer(i) ? 1 : 0;
+      const auto it = purchased.find(indices[p]);
+      if (it != purchased.end()) {
+        answers[p] = it->second;
       } else {
         still_pending.push_back(p);
       }

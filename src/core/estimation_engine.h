@@ -144,9 +144,9 @@ struct PartialSamplingOutcome {
 /// SAMP enumerated is served from the SubsetStatsCache and every pair SAMP
 /// sampled is filtered out of the batches the engine sends.
 ///
-/// Human interaction goes through Oracle::InspectBatch / InspectRange so a
-/// subset is one batched unit of human work. Heavy machine-side math (GP
-/// Gram construction, Cholesky, simulation) runs on the process-global
+/// Human interaction goes through Oracle::InspectBatch so a subset is one
+/// batched unit of human work. Heavy machine-side math (GP Gram
+/// construction, Cholesky, simulation) runs on the process-global
 /// ThreadPool (size it with HUMO_NUM_THREADS or
 /// ThreadPool::SetGlobalThreads) with deterministic per-task RNG streams.
 class EstimationContext {

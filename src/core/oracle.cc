@@ -34,32 +34,12 @@ bool Oracle::InlineAnswer(size_t index) const {
   return truth;
 }
 
-bool Oracle::Label(size_t index) {
-  assert(index < workload_->size());
-  ++total_requests_;
-  if (answers_.Known(index)) return answers_.Answer(index);
-  bool truth;
-  if (provider_) {
-    truth = provider_({index}).at(0) != 0;
-  } else {
-    truth = InlineAnswer(index);
-  }
-  answers_.Record(index, truth);
-  ++inspected_;
-  return truth;
-}
+bool Oracle::Label(size_t index) { return InspectBatch({index})[0] != 0; }
 
 std::vector<char> Oracle::InspectBatch(const std::vector<size_t>& indices) {
-  if (!provider_) {
-    std::vector<char> answers(indices.size());
-    for (size_t t = 0; t < indices.size(); ++t) {
-      answers[t] = Label(indices[t]) ? 1 : 0;
-    }
-    return answers;
-  }
-  // Provider mode: ship every distinct unanswered index of the batch as ONE
-  // request (one crowd task), then serve the whole batch from memory. The
-  // counters end up exactly where the inline loop would put them.
+  // Every distinct unanswered index of the batch is answered as ONE request
+  // (one crowd task when a provider is installed), then the whole batch is
+  // served from memory.
   std::vector<size_t> fresh;
   fresh.reserve(indices.size());
   std::unordered_set<size_t> queued;
@@ -72,34 +52,27 @@ std::vector<char> Oracle::InspectBatch(const std::vector<size_t>& indices) {
     }
   }
   if (!fresh.empty()) {
-    const std::vector<char> fresh_answers = provider_(fresh);
+    std::vector<char> fresh_answers;
+    if (provider_) {
+      fresh_answers = provider_(fresh);
+    } else {
+      fresh_answers.resize(fresh.size());
+      for (size_t t = 0; t < fresh.size(); ++t) {
+        fresh_answers[t] = InlineAnswer(fresh[t]) ? 1 : 0;
+      }
+    }
     assert(fresh_answers.size() == fresh.size());
     for (size_t t = 0; t < fresh.size(); ++t) {
       answers_.Record(fresh[t], fresh_answers[t] != 0);
-      ++inspected_;
     }
+    inspected_ += fresh.size();
   }
+  total_requests_ += indices.size();
   std::vector<char> answers(indices.size());
   for (size_t t = 0; t < indices.size(); ++t) {
-    ++total_requests_;
     answers[t] = answers_.Answer(indices[t]) ? 1 : 0;
   }
   return answers;
-}
-
-size_t Oracle::InspectRange(size_t begin, size_t end) {
-  assert(begin <= end && end <= workload_->size());
-  if (provider_) {
-    std::vector<size_t> range(end - begin);
-    for (size_t i = begin; i < end; ++i) range[i - begin] = i;
-    const std::vector<char> answers = InspectBatch(range);
-    size_t matches = 0;
-    for (const char a : answers) matches += a != 0;
-    return matches;
-  }
-  size_t matches = 0;
-  for (size_t i = begin; i < end; ++i) matches += Label(i);
-  return matches;
 }
 
 void Oracle::Preload(size_t index, bool answer) {

@@ -38,18 +38,22 @@ class Oracle {
   /// Out-of-band answer source for pairs that have no remembered answer
   /// yet: receives the distinct unanswered indices of one inspection batch
   /// (first-occurrence order) and returns one answer per index, parallel to
-  /// the input. The resolution service's bridge onto its asynchronous crowd
-  /// queue. A provider MUST return exactly the answers InlineAnswer()
-  /// computes — routing changes who answers and when, never the values —
-  /// which is what keeps the drain-to-quiescence contract bit-identical to
-  /// the inline run. Cost accounting is unchanged either way.
+  /// the input. The oracle records whatever the provider returns, so a
+  /// provider may give answers that differ from InlineAnswer(): a
+  /// CrowdOracle or CrowdTaskBroker returns noisy crowd verdicts. Only the
+  /// resolution service's AsyncOracleQueue must return exactly the answers
+  /// InlineAnswer() computes — routing changes who answers and when, never
+  /// the values — and that is what keeps the drain-to-quiescence contract
+  /// bit-identical to the inline run. Cost accounting is the same either
+  /// way.
   using AnswerProvider =
       std::function<std::vector<char>(const std::vector<size_t>&)>;
 
   explicit Oracle(const data::Workload* workload, double error_rate = 0.0,
                   uint64_t seed = 99);
 
-  /// Human-labels pair `index`; returns true when labeled match.
+  /// Human-labels pair `index` (a one-pair InspectBatch); returns true when
+  /// labeled match.
   bool Label(size_t index);
 
   /// The deterministic verdict the simulated human gives for `index`:
@@ -73,10 +77,6 @@ class Oracle {
   /// which is what the estimation engine routes through.
   std::vector<char> InspectBatch(const std::vector<size_t>& indices);
 
-  /// Batch inspection of the contiguous pair range [begin, end); returns
-  /// the number of matches among them.
-  size_t InspectRange(size_t begin, size_t end);
-
   /// Seeds the answer memory with an answer that was already paid for
   /// elsewhere — the streaming resolver's evidence carry-over across epoch
   /// merges, where pair indices shift and answers must be re-keyed. A
@@ -95,8 +95,8 @@ class Oracle {
   /// for wherever they were originally inspected.
   size_t cost() const { return inspected_; }
 
-  /// Every pair index ever passed to Label/InspectBatch/InspectRange,
-  /// including repeats answered from memory.
+  /// Every pair index ever passed to Label/InspectBatch, including repeats
+  /// answered from memory.
   size_t total_requests() const { return total_requests_; }
 
   /// Requests that were answered from memory instead of a fresh inspection.

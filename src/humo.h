@@ -85,11 +85,15 @@
 /// layer (core/crowd_tasks.h, core/crowd_oracle.h) packs pair inspections
 /// into cluster-based HITs, infers extra labels through transitivity, and
 /// aggregates redundant noisy votes with Dawid–Skene (stats/dawid_skene.h)
-/// before they reach the resolver:
+/// before they reach the resolver. Both plug into the resolver's
+/// core::Oracle as answer providers; the Oracle stays the one memory of
+/// which pairs a human has answered:
 ///
 ///   core::CrowdOracle crowd(&w, {/*workers_per_pair=*/5,
 ///                                 /*worker_error_rate=*/0.2});
-///   core::CrowdTaskBroker broker(&w, &crowd);  // HIT packing + inference
+///   oracle.SetAnswerProvider(crowd.Provider());  // one vote jury per pair
+///   // ...or pack HITs and infer answers before buying votes:
+///   core::CrowdTaskBroker broker(&w, &crowd);
 ///   oracle.SetAnswerProvider(broker.Provider());
 ///   // broker.stats(): tasks issued, votes bought, answers inferred free
 ///
@@ -99,7 +103,6 @@
 /// bit-identical at any thread count.
 
 #include "actl/active_learning.h"
-#include "common/csv.h"
 #include "common/env.h"
 #include "common/random.h"
 #include "common/result.h"
@@ -115,7 +118,6 @@
 #include "core/gp_subset_model.h"
 #include "core/hybrid_optimizer.h"
 #include "core/oracle.h"
-#include "core/paged_bitmap.h"
 #include "core/partial_sampling_optimizer.h"
 #include "core/partition.h"
 #include "core/resolution_service.h"
@@ -150,7 +152,6 @@
 #include "linalg/matrix.h"
 #include "ml/dataset.h"
 #include "ml/linear_svm.h"
-#include "ml/logistic_regression.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
 #include "stats/dawid_skene.h"

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/oracle.h"
 #include "data/logistic_generator.h"
 
 namespace humo::core {
@@ -18,13 +19,18 @@ data::Workload MakeWorkload(size_t n = 10000) {
   return data::GenerateLogisticWorkload(o);
 }
 
+/// The crowd's verdict for one pair, bought on its own.
+bool Verdict(CrowdOracle* crowd, size_t index) {
+  return crowd->Answer({index}).at(0) != 0;
+}
+
 TEST(CrowdOracleTest, PerfectWorkersGiveGroundTruth) {
   const data::Workload w = MakeWorkload(1000);
   CrowdOptions o;
   o.worker_error_rate = 0.0;
   CrowdOracle crowd(&w, o);
   for (size_t i = 0; i < w.size(); ++i) {
-    EXPECT_EQ(crowd.Label(i), w[i].is_match);
+    EXPECT_EQ(Verdict(&crowd, i), w[i].is_match);
   }
   EXPECT_DOUBLE_EQ(crowd.VerdictErrorRate(), 0.0);
 }
@@ -34,12 +40,14 @@ TEST(CrowdOracleTest, CostCountsWorkerAnswers) {
   CrowdOptions o;
   o.workers_per_pair = 5;
   CrowdOracle crowd(&w, o);
-  crowd.Label(0);
-  crowd.Label(1);
-  crowd.Label(0);  // cached: no extra cost
+  Oracle oracle(&w);
+  oracle.SetAnswerProvider(crowd.Provider());
+  oracle.Label(0);
+  oracle.Label(1);
+  oracle.Label(0);  // remembered by the oracle: no extra cost
   EXPECT_EQ(crowd.worker_answers(), 10u);
   EXPECT_EQ(crowd.pairs_adjudicated(), 2u);
-  EXPECT_DOUBLE_EQ(crowd.CostFraction(), 10.0 / 1000.0);
+  EXPECT_EQ(oracle.cost(), 2u);
 }
 
 TEST(CrowdOracleTest, VerdictsAreStableAcrossRequeries) {
@@ -47,9 +55,11 @@ TEST(CrowdOracleTest, VerdictsAreStableAcrossRequeries) {
   CrowdOptions o;
   o.worker_error_rate = 0.4;
   CrowdOracle crowd(&w, o);
+  Oracle oracle(&w);
+  oracle.SetAnswerProvider(crowd.Provider());
   std::vector<bool> first;
-  for (size_t i = 0; i < 100; ++i) first.push_back(crowd.Label(i));
-  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(crowd.Label(i), first[i]);
+  for (size_t i = 0; i < 100; ++i) first.push_back(oracle.Label(i));
+  for (size_t i = 0; i < 100; ++i) EXPECT_EQ(oracle.Label(i), first[i]);
 }
 
 TEST(CrowdOracleTest, MajorityVoteBeatsSingleWorker) {
@@ -61,8 +71,8 @@ TEST(CrowdOracleTest, MajorityVoteBeatsSingleWorker) {
   five.workers_per_pair = 5;
   CrowdOracle single(&w, one), majority(&w, five);
   for (size_t i = 0; i < w.size(); ++i) {
-    single.Label(i);
-    majority.Label(i);
+    Verdict(&single, i);
+    Verdict(&majority, i);
   }
   // e=0.2: single-worker error 20%; 5-vote majority error ~5.8%.
   EXPECT_NEAR(single.VerdictErrorRate(), 0.2, 0.02);
@@ -76,18 +86,9 @@ TEST(CrowdOracleTest, VerdictErrorMatchesBinomialTheory) {
   o.workers_per_pair = 3;
   o.worker_error_rate = 0.1;
   CrowdOracle crowd(&w, o);
-  for (size_t i = 0; i < w.size(); ++i) crowd.Label(i);
+  for (size_t i = 0; i < w.size(); ++i) Verdict(&crowd, i);
   // P(>=2 of 3 wrong) = 3 * 0.1^2 * 0.9 + 0.1^3 = 0.028.
   EXPECT_NEAR(crowd.VerdictErrorRate(), 0.028, 0.008);
-}
-
-TEST(CrowdOracleTest, ResetClearsEverything) {
-  const data::Workload w = MakeWorkload(500);
-  CrowdOracle crowd(&w);
-  crowd.Label(0);
-  crowd.Reset();
-  EXPECT_EQ(crowd.worker_answers(), 0u);
-  EXPECT_EQ(crowd.pairs_adjudicated(), 0u);
 }
 
 TEST(CrowdOracleTest, DeterministicUnderSeed) {
@@ -96,7 +97,7 @@ TEST(CrowdOracleTest, DeterministicUnderSeed) {
   o.worker_error_rate = 0.3;
   o.seed = 99;
   CrowdOracle a(&w, o), b(&w, o);
-  for (size_t i = 0; i < 200; ++i) EXPECT_EQ(a.Label(i), b.Label(i));
+  for (size_t i = 0; i < 200; ++i) EXPECT_EQ(Verdict(&a, i), Verdict(&b, i));
 }
 
 TEST(CrowdOracleTest, OptionsAreValidatedInEveryBuildMode) {
@@ -135,70 +136,8 @@ TEST(CrowdOracleTest, OptionsAreValidatedInEveryBuildMode) {
   const data::Workload w = MakeWorkload(100);
   CrowdOracle crowd(&w, o);
   EXPECT_EQ(crowd.options().workers_per_pair, 5u);
-  crowd.Label(0);
+  Verdict(&crowd, 0);
   EXPECT_EQ(crowd.worker_answers(), 5u);
-}
-
-TEST(CrowdOracleTest, CountersNeverUnderflowAcrossPreloadInspectOrderings) {
-  // Mirror of OracleTest.CostNeverUnderflowsAcrossPreloadInspectOrderings:
-  // the crowd backend carries the same evidence seam and the same direct
-  // counters, so no preload/inspect ordering can skew the accounting.
-  const data::Workload w = MakeWorkload(200);
-  const size_t kHuge = static_cast<size_t>(-1) / 2;
-
-  {
-    // Preload then request the SAME pair: served from memory, no workers.
-    CrowdOracle crowd(&w);
-    crowd.Preload(3, !w.IsMatch(3));
-    EXPECT_EQ(crowd.worker_answers(), 0u);
-    EXPECT_EQ(crowd.Label(3), !w.IsMatch(3));  // preloaded verdict wins
-    EXPECT_EQ(crowd.worker_answers(), 0u);
-    EXPECT_EQ(crowd.pairs_adjudicated(), 0u);
-    EXPECT_EQ(crowd.preloaded(), 1u);
-    EXPECT_EQ(crowd.total_requests(), 1u);
-    EXPECT_EQ(crowd.duplicate_requests(), 1u);
-    EXPECT_LT(crowd.duplicate_requests(), kHuge);  // the underflow guard
-  }
-  {
-    // Adjudicate fresh FIRST, then preload the same pair: a no-op that
-    // neither rewrites history nor inflates preloaded().
-    CrowdOracle crowd(&w);
-    const bool verdict = crowd.Label(7);
-    crowd.Preload(7, !verdict);
-    crowd.Preload(7, !verdict);
-    EXPECT_EQ(crowd.pairs_adjudicated(), 1u);
-    EXPECT_EQ(crowd.preloaded(), 0u);
-    EXPECT_EQ(crowd.CachedAnswer(7), verdict);
-  }
-  {
-    // Repeated preloads of one index count once.
-    CrowdOracle crowd(&w);
-    crowd.Preload(2, true);
-    crowd.Preload(2, true);
-    crowd.Preload(2, false);
-    EXPECT_EQ(crowd.preloaded(), 1u);
-    EXPECT_TRUE(crowd.CachedAnswer(2));
-  }
-  {
-    // Preload many, purchase few: duplicate_requests stays exact with
-    // preloads outnumbering purchases (the old known_count()-derived
-    // formula wrapped to ~SIZE_MAX here).
-    CrowdOracle crowd(&w);
-    for (size_t i = 0; i < 5; ++i) crowd.Preload(i, true);
-    const std::vector<char> batch = crowd.InspectBatch({0, 1, 9, 9});
-    EXPECT_EQ(batch.size(), 4u);
-    EXPECT_EQ(crowd.pairs_adjudicated(), 1u);  // only pair 9 was purchased
-    EXPECT_EQ(crowd.preloaded(), 5u);
-    EXPECT_EQ(crowd.total_requests(), 4u);
-    EXPECT_EQ(crowd.duplicate_requests(), 3u);
-    EXPECT_LT(crowd.duplicate_requests(), kHuge);
-
-    const auto snapshot = crowd.AnswerSnapshot();
-    EXPECT_EQ(snapshot.size(), 6u);  // 5 preloads + pair 9
-    for (size_t k = 1; k < snapshot.size(); ++k) {
-      EXPECT_LT(snapshot[k - 1].first, snapshot[k].first);  // ascending
-    }
-  }
 }
 
 CrowdOptions PoolOptions() {
@@ -215,7 +154,7 @@ TEST(CrowdOracleTest, WorkerPoolIsDeterministicAndHeterogeneous) {
   const data::Workload w = MakeWorkload(2000);
   const CrowdOptions o = PoolOptions();
   CrowdOracle a(&w, o), b(&w, o);
-  for (size_t i = 0; i < 500; ++i) EXPECT_EQ(a.Label(i), b.Label(i));
+  for (size_t i = 0; i < 500; ++i) EXPECT_EQ(Verdict(&a, i), Verdict(&b, i));
   EXPECT_EQ(a.worker_answers(), b.worker_answers());
 
   // Planted per-worker errors stay in [0, 0.49] and actually spread out.
@@ -244,8 +183,8 @@ TEST(CrowdOracleTest, DawidSkeneBeatsMajorityOnHeterogeneousPool) {
     for (size_t i = begin; i < std::min(begin + 1000, w.size()); ++i) {
       chunk.push_back(i);
     }
-    majority.InspectBatch(chunk);
-    em.InspectBatch(chunk);
+    majority.Answer(chunk);
+    em.Answer(chunk);
   }
   EXPECT_EQ(majority.worker_answers(), em.worker_answers());
   EXPECT_LT(em.VerdictErrorRate(), majority.VerdictErrorRate())
@@ -271,7 +210,7 @@ TEST(CrowdOracleTest, DawidSkeneFallsBackToMajorityOnThinEvidence) {
   CrowdOptions maj = PoolOptions();
   CrowdOracle a(&w, ds), b(&w, maj);
   // Below the threshold every verdict must equal the majority fold.
-  for (size_t i = 0; i < 49; ++i) EXPECT_EQ(a.Label(i), b.Label(i));
+  for (size_t i = 0; i < 49; ++i) EXPECT_EQ(Verdict(&a, i), Verdict(&b, i));
   EXPECT_TRUE(a.worker_error_estimates().empty());
 }
 
@@ -282,7 +221,7 @@ TEST(CrowdOracleTest, DawidSkeneIsDeterministic) {
   CrowdOracle a(&w, ds), b(&w, ds);
   std::vector<size_t> all(w.size());
   for (size_t i = 0; i < w.size(); ++i) all[i] = i;
-  EXPECT_EQ(a.InspectBatch(all), b.InspectBatch(all));
+  EXPECT_EQ(a.Answer(all), b.Answer(all));
   ASSERT_EQ(a.worker_error_estimates().size(),
             b.worker_error_estimates().size());
   for (size_t wk = 0; wk < a.worker_error_estimates().size(); ++wk) {

@@ -244,16 +244,5 @@ TEST(OracleBatchTest, InspectBatchMatchesSerialAnswers) {
   EXPECT_EQ(a.duplicate_requests(), 2u);
 }
 
-TEST(OracleBatchTest, InspectRangeCountsMatches) {
-  const data::Workload w = MakeWorkload();
-  Oracle a(&w);
-  Oracle b(&w);
-  const size_t matches = a.InspectRange(100, 300);
-  size_t expect = 0;
-  for (size_t i = 100; i < 300; ++i) expect += b.Label(i);
-  EXPECT_EQ(matches, expect);
-  EXPECT_EQ(a.cost(), 200u);
-}
-
 }  // namespace
 }  // namespace humo::core

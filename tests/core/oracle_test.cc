@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/crowd_oracle.h"
 #include "data/logistic_generator.h"
 
 namespace humo::core {
@@ -138,9 +139,9 @@ TEST(OracleTest, CostCountsOnlyFreshInspectionsNextToPreloads) {
   Oracle oracle(&w);
   oracle.Preload(0, false);
   oracle.Preload(1, true);
-  const size_t matches = oracle.InspectRange(0, 5);
+  const std::vector<char> answers = oracle.InspectBatch({0, 1, 2, 3, 4});
   // Pairs 0/1 served from preloads (1 true), 2-4 fresh (is_match false).
-  EXPECT_EQ(matches, 1u);
+  EXPECT_EQ(answers, (std::vector<char>{0, 1, 0, 0, 0}));
   EXPECT_EQ(oracle.cost(), 3u);
   EXPECT_EQ(oracle.preloaded(), 2u);
   EXPECT_EQ(oracle.CostFraction(), 0.3);
@@ -231,6 +232,37 @@ TEST(OracleTest, CostNeverUnderflowsAcrossPreloadInspectOrderings) {
     EXPECT_EQ(oracle.total_requests(), 5u);
     EXPECT_EQ(oracle.duplicate_requests(), 3u);
   }
+  {
+    // The same accounting with a crowd answering fresh pairs: preloads and
+    // remembered answers never reach the provider, and a batch's repeats
+    // are bought once.
+    CrowdOracle crowd(&w);
+    Oracle oracle(&w);
+    oracle.SetAnswerProvider(crowd.Provider());
+    oracle.Preload(3, true);  // ground truth for pair 3 is false
+    EXPECT_TRUE(oracle.Label(3));
+    EXPECT_EQ(crowd.pairs_adjudicated(), 0u);
+    const bool verdict = oracle.Label(7);
+    oracle.Preload(7, !verdict);
+    EXPECT_EQ(oracle.CachedAnswer(7), verdict);  // history not rewritten
+    for (size_t i = 0; i < 5; ++i) oracle.Preload(i, true);
+    const auto answers = oracle.InspectBatch({0, 1, 9, 9});
+    EXPECT_EQ(answers.size(), 4u);
+    EXPECT_EQ(answers[2], answers[3]);
+    EXPECT_EQ(crowd.pairs_adjudicated(), 2u);  // pairs 7 and 9
+    EXPECT_EQ(crowd.worker_answers(), 2 * crowd.options().workers_per_pair);
+    EXPECT_EQ(oracle.cost(), 2u);
+    EXPECT_EQ(oracle.preloaded(), 5u);  // pair 3, then 0, 1, 2, 4
+    EXPECT_EQ(oracle.total_requests(), 6u);
+    EXPECT_EQ(oracle.duplicate_requests(), 4u);
+    EXPECT_LT(oracle.duplicate_requests(), kHuge);
+
+    const auto snapshot = oracle.AnswerSnapshot();
+    EXPECT_EQ(snapshot.size(), 7u);  // 5 preloads + pairs 7 and 9
+    for (size_t k = 1; k < snapshot.size(); ++k) {
+      EXPECT_LT(snapshot[k - 1].first, snapshot[k].first);  // ascending
+    }
+  }
 }
 
 TEST(OracleTest, AnswerMemoryStaysPagedAndLean) {
@@ -251,7 +283,9 @@ TEST(OracleTest, AnswerMemoryStaysPagedAndLean) {
   // Two pages (~1 KiB each) plus the page-pointer table.
   EXPECT_LT(sparse_bytes, 16 * 1024u);
 
-  oracle.InspectRange(0, n);
+  std::vector<size_t> all(n);
+  for (size_t i = 0; i < n; ++i) all[i] = i;
+  oracle.InspectBatch(all);
   const size_t full_bytes = oracle.AnswerMemoryBytes();
   EXPECT_EQ(oracle.cost(), n);
   // Full inspection: ~2 bits/pair plus page table — far under the ~50
