@@ -4,6 +4,7 @@
 #include <cassert>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/random.h"
 #include "common/string_util.h"
@@ -101,8 +102,8 @@ void ComputeSignature(const uint32_t* ids, size_t n,
 
 /// Key of band `b` for probe `p`: rows are min1 values except that probe
 /// p >= 1 substitutes min2 in row p-1. Band index is folded in so equal row
-/// values in different bands do not alias (maps are per band anyway; this
-/// is belt and braces).
+/// values in different bands do not alias (each band has its own index
+/// anyway; this is belt and braces).
 uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, size_t band,
                  size_t rows, size_t probe) {
   uint64_t key = Mix64(0x9E3779B97F4A7C15ULL + band);
@@ -115,12 +116,15 @@ uint64_t BandKey(const uint64_t* min1, const uint64_t* min2, size_t band,
   return key;
 }
 
-/// Per-band hash buckets over the RIGHT table (canonical probe-0 keys
-/// only; multi-probe happens on the query side). Postings are in record
-/// order — deterministic regardless of map iteration.
+/// Per-band bucket index over the RIGHT table (canonical probe-0 keys only;
+/// multi-probe happens on the query side). Band b is one run of
+/// (key, record) entries sorted by key then record: `keys[b]` holds the
+/// keys and `records[b]` the records at the same positions, so a bucket is
+/// the equal-key range of `keys[b]`, its records in ascending order.
 struct LshIndex {
   std::vector<MinHashFn> fns;
-  std::vector<std::unordered_map<uint64_t, std::vector<uint32_t>>> buckets;
+  std::vector<std::vector<uint64_t>> keys;
+  std::vector<std::vector<uint32_t>> records;
   size_t bands = 0;
   size_t rows = 0;
   size_t probes = 0;
@@ -140,27 +144,50 @@ LshIndex BuildLshIndex(const RecordColumns& right_cols,
   index.fns = MakeHashFamily(options);
   const size_t H = index.fns.size();
   const size_t n = right_cols.num_records();
+  const size_t bands = index.bands;
 
-  // Signatures in parallel (index-addressed), bucket inserts serial in
-  // record order.
-  std::vector<uint64_t> min1(n * H), min2(n * H);
+  // Each band's run holds one entry per non-empty record (an empty set
+  // matches nothing), in record order until the sort below.
+  std::vector<uint32_t> present;
+  for (size_t r = 0; r < n; ++r) {
+    if (right_cols.num_ids(r) > 0) present.push_back(static_cast<uint32_t>(r));
+  }
+  const size_t m = present.size();
+  index.keys.assign(bands, std::vector<uint64_t>(m));
+  index.records.assign(bands, present);
+
+  // Canonical band keys in parallel (index-addressed); each task keeps one
+  // record's signature in its own scratch.
   ThreadPool::Global()->ParallelFor(
-      n, kLshGrain, [&](size_t begin, size_t end) {
-        for (size_t r = begin; r < end; ++r) {
-          ComputeSignature(right_cols.ids(r), right_cols.num_ids(r),
-                           index.fns, min1.data() + r * H,
-                           min2.data() + r * H);
+      m, kLshGrain, [&](size_t begin, size_t end) {
+        std::vector<uint64_t> sig(2 * H);
+        for (size_t i = begin; i < end; ++i) {
+          const uint32_t r = present[i];
+          ComputeSignature(right_cols.ids(r), right_cols.num_ids(r), index.fns,
+                           sig.data(), sig.data() + H);
+          for (size_t b = 0; b < bands; ++b) {
+            index.keys[b][i] = BandKey(sig.data(), sig.data() + H, b,
+                                       index.rows, /*probe=*/0);
+          }
         }
       });
-  index.buckets.resize(index.bands);
-  for (size_t r = 0; r < n; ++r) {
-    if (right_cols.num_ids(r) == 0) continue;  // empty set matches nothing
-    for (size_t b = 0; b < index.bands; ++b) {
-      const uint64_t key = BandKey(min1.data() + r * H, min2.data() + r * H,
-                                   b, index.rows, /*probe=*/0);
-      index.buckets[b][key].push_back(static_cast<uint32_t>(r));
-    }
-  }
+
+  // Sort each band's run by (key, record): a total order, so records that
+  // share a key come out in one order whatever the sort does with ties.
+  ThreadPool::Global()->ParallelFor(
+      bands, 1, [&](size_t begin, size_t end) {
+        std::vector<std::pair<uint64_t, uint32_t>> entries(m);
+        for (size_t b = begin; b < end; ++b) {
+          std::vector<uint64_t>& keys = index.keys[b];
+          std::vector<uint32_t>& records = index.records[b];
+          for (size_t i = 0; i < m; ++i) entries[i] = {keys[i], records[i]};
+          std::sort(entries.begin(), entries.end());
+          for (size_t i = 0; i < m; ++i) {
+            keys[i] = entries[i].first;
+            records[i] = entries[i].second;
+          }
+        }
+      });
   return index;
 }
 
@@ -180,10 +207,13 @@ void ProbeRecord(const RecordColumns& left_cols, size_t r,
   for (size_t b = 0; b < index.bands; ++b) {
     for (size_t p = 0; p < index.probes; ++p) {
       const uint64_t key = BandKey(min1, min2, b, index.rows, p);
-      const auto it = index.buckets[b].find(key);
-      if (it == index.buckets[b].end()) continue;
-      candidates->insert(candidates->end(), it->second.begin(),
-                         it->second.end());
+      const std::vector<uint64_t>& keys = index.keys[b];
+      const auto lo = std::lower_bound(keys.begin(), keys.end(), key);
+      if (lo == keys.end() || *lo != key) continue;
+      const auto hi = std::upper_bound(lo, keys.end(), key);
+      const uint32_t* records = index.records[b].data();
+      candidates->insert(candidates->end(), records + (lo - keys.begin()),
+                         records + (hi - keys.begin()));
     }
   }
   std::sort(candidates->begin(), candidates->end());

@@ -52,8 +52,9 @@ class RecordColumns {
   /// Per-id TF-IDF weights (empty until AttachTfIdf).
   const std::vector<double>& weights() const { return weights_; }
 
-  /// Fills the weight column from `model` (which must be bound to the same
-  /// dictionary ids — TfIdfModel::FitDictionary or BindDictionary).
+  /// Fills the weight column from `model` (which must be fitted with
+  /// TfIdfModel::FitDictionary on the dictionary these columns' ids come
+  /// from).
   void AttachTfIdf(const text::TfIdfModel& model);
 
   /// Zero-copy kernel view for text::BatchIdSetSimilarity. Weights are

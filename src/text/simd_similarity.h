@@ -22,7 +22,7 @@ enum class IdSetMetric {
   kOverlap,
   /// Dot product of the per-id TF-IDF weight columns (weights are
   /// L2-normalized per record, so the dot IS the cosine). Two empty
-  /// documents score 0, matching TfIdfModel::Cosine on empty vectors.
+  /// documents score 0, as IdWeightedDot does on empty ranges.
   kCosineTfIdf,
 };
 

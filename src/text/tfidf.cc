@@ -1,7 +1,6 @@
 #include "text/tfidf.h"
 
 #include <cmath>
-#include <unordered_set>
 
 namespace humo::text {
 
@@ -10,49 +9,12 @@ double TfIdfModel::IdfOfCount(double df) const {
          1.0;
 }
 
-void TfIdfModel::Fit(const std::vector<std::vector<std::string>>& corpus) {
-  doc_freq_.clear();
-  idf_.clear();
-  idf_by_id_.clear();
-  num_documents_ = corpus.size();
-  for (const auto& doc : corpus) {
-    std::unordered_set<std::string> seen(doc.begin(), doc.end());
-    for (const auto& t : seen) ++doc_freq_[t];
-  }
-  idf_.reserve(doc_freq_.size());
-  for (const auto& [tok, df] : doc_freq_) {
-    idf_.emplace(tok, IdfOfCount(static_cast<double>(df)));
-  }
-}
-
 void TfIdfModel::FitDictionary(const TokenDictionary& dict) {
-  doc_freq_.clear();
-  idf_.clear();
   num_documents_ = dict.num_documents();
-  const auto& df = dict.doc_freq();
-  doc_freq_.reserve(df.size());
-  idf_.reserve(df.size());
-  for (uint32_t id = 0; id < df.size(); ++id) {
-    const std::string& tok = dict.TokenOf(id);
-    doc_freq_.emplace(tok, df[id]);
-    idf_.emplace(tok, IdfOfCount(static_cast<double>(df[id])));
-  }
-  BindDictionary(dict);
-}
-
-double TfIdfModel::Idf(const std::string& token) const {
-  const auto it = idf_.find(token);
-  if (it != idf_.end()) return it->second;
-  return IdfOfCount(0.0);
-}
-
-void TfIdfModel::BindDictionary(const TokenDictionary& dict) {
-  idf_by_id_.resize(dict.size());
-  for (uint32_t id = 0; id < dict.size(); ++id) {
-    const auto it = doc_freq_.find(dict.TokenOf(id));
-    const double df =
-        it == doc_freq_.end() ? 0.0 : static_cast<double>(it->second);
-    idf_by_id_[id] = IdfOfCount(df);
+  const std::vector<uint32_t>& df = dict.doc_freq();
+  idf_by_id_.resize(df.size());
+  for (size_t id = 0; id < df.size(); ++id) {
+    idf_by_id_[id] = IdfOfCount(static_cast<double>(df[id]));
   }
 }
 
@@ -73,32 +35,6 @@ void TfIdfModel::TransformIds(const uint32_t* ids, const uint32_t* tf,
     const double inv = 1.0 / std::sqrt(norm_sq);
     for (size_t i = 0; i < n; ++i) weights[i] *= inv;
   }
-}
-
-SparseVector TfIdfModel::Transform(const std::vector<std::string>& doc) const {
-  SparseVector v;
-  for (const auto& t : doc) v[t] += 1.0;
-  double norm_sq = 0.0;
-  for (auto& [tok, tf] : v) {
-    tf *= Idf(tok);
-    norm_sq += tf * tf;
-  }
-  if (norm_sq > 0.0) {
-    const double inv = 1.0 / std::sqrt(norm_sq);
-    for (auto& [tok, w] : v) w *= inv;
-  }
-  return v;
-}
-
-double TfIdfModel::Cosine(const SparseVector& a, const SparseVector& b) {
-  const SparseVector& small = a.size() <= b.size() ? a : b;
-  const SparseVector& large = a.size() <= b.size() ? b : a;
-  double dot = 0.0;
-  for (const auto& [tok, w] : small) {
-    const auto it = large.find(tok);
-    if (it != large.end()) dot += w * it->second;
-  }
-  return dot;
 }
 
 }  // namespace humo::text

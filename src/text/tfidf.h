@@ -1,84 +1,43 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "text/token_dictionary.h"
 
 namespace humo::text {
 
-/// Sparse TF-IDF vector: token -> weight.
-using SparseVector = std::unordered_map<std::string, double>;
-
-/// Corpus-level TF-IDF model. Fit on a collection of documents (each a token
-/// list), then transform documents into L2-normalized sparse vectors whose
-/// dot product is the cosine similarity.
-///
-/// Two APIs share one model:
-///  * The string API (Transform/Cosine over SparseVector) — convenient, and
-///    kept for callers that do not hold a dictionary.
-///  * The id API (BindDictionary + TransformIds) — the raw-record hot path:
-///    IDF becomes one array lookup per token id and Transform writes
-///    weights into a caller-provided contiguous column, no hashing and no
-///    per-document map allocation.
+/// Corpus-level TF-IDF model over dictionary token ids. Fit from a
+/// TokenDictionary's document frequencies, then transform documents (sorted
+/// unique ids plus term frequencies) into L2-normalized weight columns whose
+/// dot product (text::IdWeightedDot) is the cosine similarity. IDF is one
+/// array lookup per token id: no token strings, no hashing, and no
+/// per-document allocation.
 class TfIdfModel {
  public:
-  /// Builds document frequencies from the corpus and caches every seen
-  /// token's IDF value (Idf() is then a single hash lookup, not a log()).
-  void Fit(const std::vector<std::vector<std::string>>& corpus);
-
-  /// Fits directly from dictionary statistics: `dict.num_documents()`
-  /// documents with `dict.doc_freq()` per-id frequencies (as accumulated by
-  /// TokenDictionary::CountDocument). Equivalent to Fit on the same corpus
-  /// followed by BindDictionary, without touching token strings.
+  /// Fits from dictionary statistics: `dict.num_documents()` documents with
+  /// `dict.doc_freq()` per-id frequencies (as accumulated by
+  /// TokenDictionary::CountDocument). Call again when the dictionary grew.
   void FitDictionary(const TokenDictionary& dict);
 
-  /// Number of documents seen during Fit.
+  /// Number of documents seen during the fit.
   size_t num_documents() const { return num_documents_; }
 
-  /// Smoothed inverse document frequency of `token`:
-  /// log((1 + N) / (1 + df)) + 1. Cached at Fit time for seen tokens;
-  /// unseen tokens pay one log().
-  double Idf(const std::string& token) const;
-
-  /// Binds the id API to `dict`: builds the id-indexed IDF table from the
-  /// model's document frequencies (tokens absent from the fit corpus get
-  /// the df=0 smoothing). Call again after re-Fit or when the dictionary
-  /// grew.
-  void BindDictionary(const TokenDictionary& dict);
-
-  /// True once BindDictionary/FitDictionary populated the id table.
-  bool bound() const { return !idf_by_id_.empty() || num_documents_ == 0; }
-
-  /// IDF by token id (requires a bound dictionary; ids beyond the bound
-  /// table get the unseen-token smoothing).
+  /// Smoothed inverse document frequency of token `id`:
+  /// log((1 + N) / (1 + df)) + 1. Ids beyond the fitted dictionary get the
+  /// unseen-token (df = 0) smoothing, the largest IDF.
   double IdfById(uint32_t id) const;
 
-  /// Id-based Transform: the document is `n` sorted unique token ids with
-  /// term frequencies `tf`; writes the L2-normalized TF-IDF weights to
-  /// `weights` (length n). The contiguous-column counterpart of
-  /// Transform(): same math, zero allocation.
+  /// The document is `n` sorted unique token ids with term frequencies
+  /// `tf` (raw counts); writes the L2-normalized TF-IDF weights to
+  /// `weights` (length n).
   void TransformIds(const uint32_t* ids, const uint32_t* tf, size_t n,
                     double* weights) const;
-
-  /// TF-IDF vector of a document, L2-normalized. Term frequency is raw
-  /// count. Thin string-keyed wrapper over the same weighting the id path
-  /// applies.
-  SparseVector Transform(const std::vector<std::string>& doc) const;
-
-  /// Cosine similarity between two already-normalized sparse vectors.
-  static double Cosine(const SparseVector& a, const SparseVector& b);
 
  private:
   double IdfOfCount(double df) const;
 
-  std::unordered_map<std::string, size_t> doc_freq_;
-  /// IDF cache keyed by token, filled in Fit — Transform's inner loop reads
-  /// this instead of recomputing log((1+N)/(1+df)) per occurrence.
-  std::unordered_map<std::string, double> idf_;
-  /// IDF by dictionary id, filled in BindDictionary/FitDictionary.
+  /// IDF by dictionary id, filled by FitDictionary.
   std::vector<double> idf_by_id_;
   size_t num_documents_ = 0;
 };

@@ -17,7 +17,7 @@ namespace humo::text {
 /// iteration order, thread count, and platform.
 ///
 /// The dictionary also tracks per-token document frequency (via
-/// CountDocument), the statistic TfIdfModel::BindDictionary turns into an
+/// CountDocument), the statistic TfIdfModel::FitDictionary turns into an
 /// id-indexed IDF table.
 class TokenDictionary {
  public:
@@ -34,8 +34,8 @@ class TokenDictionary {
   size_t size() const { return tokens_.size(); }
 
   /// Bumps the document frequency of every id in [ids, ids + n). Callers
-  /// pass each document's DEDUPLICATED ids exactly once, mirroring
-  /// TfIdfModel::Fit's per-document dedup.
+  /// pass each document's DEDUPLICATED ids exactly once, so a token counts
+  /// at most once per document.
   void CountDocument(const uint32_t* ids, size_t n);
 
   /// Documents counted so far and per-id document frequency.

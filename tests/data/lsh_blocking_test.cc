@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
 #include <utility>
 #include <vector>
@@ -26,6 +27,49 @@ ScaleTables PerturbedTables(size_t groups) {
   config.perturb_names = true;
   config.perturbation = LightPerturbation();
   return GenerateScaleTables(config);
+}
+
+/// 64-bit FNV-1a over raw bytes, chained through `h`.
+uint64_t Fnv1a(uint64_t h, const void* data, size_t n) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+constexpr uint64_t kFnvBasis = 0xCBF29CE484222325ULL;
+
+uint64_t CandidateChecksum(const LshCandidates& c) {
+  uint64_t h = Fnv1a(kFnvBasis, c.left.data(),
+                     c.left.size() * sizeof(uint32_t));
+  return Fnv1a(h, c.right.data(), c.right.size() * sizeof(uint32_t));
+}
+
+/// Checksum of every (left_id, right_id, similarity bits, label) in order.
+uint64_t WorkloadChecksum(const Workload& w) {
+  uint64_t h = kFnvBasis;
+  for (size_t i = 0; i < w.size(); ++i) {
+    const uint32_t l = w.left_ids()[i];
+    const uint32_t r = w.right_ids()[i];
+    uint64_t bits = 0;
+    std::memcpy(&bits, &w.similarities()[i], sizeof(bits));
+    const uint8_t label = w.match_labels()[i];
+    h = Fnv1a(h, &l, sizeof(l));
+    h = Fnv1a(h, &r, sizeof(r));
+    h = Fnv1a(h, &bits, sizeof(bits));
+    h = Fnv1a(h, &label, sizeof(label));
+  }
+  return h;
+}
+
+/// The default options and one non-default band/row/probe shape.
+std::vector<MinHashLshOptions> GoldenOptions() {
+  MinHashLshOptions narrow;
+  narrow.bands = 8;
+  narrow.rows = 3;
+  narrow.probes = 3;
+  return {MinHashLshOptions{}, narrow};
 }
 
 /// Matched (left id, right id) pairs of a workload.
@@ -104,6 +148,27 @@ TEST(MinHashLshCandidatesTest, CandidatesDeterministicAcrossThreadCounts) {
   EXPECT_EQ(c1.right, c4.right);
 }
 
+// The expected sizes and checksums were computed with the earlier
+// hash-map bucket index, before the flat sorted per-band index replaced
+// it: they pin that the index layout does not change a single candidate.
+TEST(MinHashLshCandidatesTest, GoldenCandidateStream) {
+  const ScaleTables tables = PerturbedTables(/*groups=*/512);
+  text::TokenDictionary dict;
+  const RecordColumns left = RecordColumns::Build(tables.left, 1, &dict);
+  const RecordColumns right = RecordColumns::Build(tables.right, 1, &dict);
+  const std::vector<MinHashLshOptions> options = GoldenOptions();
+  const size_t kSizes[] = {1772u, 1609u};
+  const uint64_t kChecksums[] = {0x341674C96156D006ULL, 0x0E749A3C4BA480E5ULL};
+  for (size_t i = 0; i < options.size(); ++i) {
+    const LshCandidates c = MinHashLshCandidates(left, right, options[i]);
+    ASSERT_EQ(c.left.size(), c.right.size());
+    EXPECT_EQ(c.left.size(), kSizes[i]) << "options " << i;
+    EXPECT_EQ(CandidateChecksum(c), kChecksums[i])
+        << "options " << i << " checksum 0x" << std::hex
+        << CandidateChecksum(c);
+  }
+}
+
 TEST(MinHashLshCandidatesTest, MoreProbesNeverLoseCandidates) {
   const ScaleTables tables = PerturbedTables(/*groups=*/24);
   text::TokenDictionary dict;
@@ -123,6 +188,23 @@ TEST(MinHashLshCandidatesTest, MoreProbesNeverLoseCandidates) {
   for (size_t i = 0; i < few.left.size(); ++i) {
     EXPECT_TRUE(many_set.count({few.left[i], few.right[i]}))
         << "probe-1 candidate " << i << " lost at probes=3";
+  }
+}
+
+// Expected values computed with the earlier hash-map bucket index, as for
+// GoldenCandidateStream above.
+TEST(MinHashLshBlockTest, GoldenWorkload) {
+  const ScaleTables tables = PerturbedTables(/*groups=*/512);
+  const std::vector<MinHashLshOptions> options = GoldenOptions();
+  const size_t kSizes[] = {1771u, 1609u};
+  const uint64_t kChecksums[] = {0xF7B2B7B80F9149EDULL, 0x8FFA4530F3AEF352ULL};
+  for (size_t i = 0; i < options.size(); ++i) {
+    const Workload w =
+        MinHashLshBlock(tables.left, tables.right, 1, options[i], 0.2);
+    EXPECT_EQ(w.size(), kSizes[i]) << "options " << i;
+    EXPECT_EQ(WorkloadChecksum(w), kChecksums[i])
+        << "options " << i << " checksum 0x" << std::hex
+        << WorkloadChecksum(w);
   }
 }
 

@@ -249,8 +249,8 @@ TEST(BatchIdSetSimilarityTest, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(IdWeightedDotTest, AgreesWithTfIdfCosine) {
-  // Same two documents through the string pipeline and the id pipeline;
-  // the cosine must agree bitwise (same multiplies in ascending-id order).
+  // Two documents through the id pipeline; the cosine must agree with the
+  // closed-form TF-IDF cosine, idf = log((1 + N) / (1 + df)) + 1.
   TokenDictionary dict;
   const std::vector<uint32_t> doc_a_ids = {dict.Intern("data"),
                                            dict.Intern("entity")};
@@ -272,10 +272,17 @@ TEST(IdWeightedDotTest, AgreesWithTfIdfCosine) {
   const double id_cosine =
       IdWeightedDot(doc_a_ids.data(), wa.data(), 2, doc_b_ids.data(),
                     wb.data(), 2);
-  const double string_cosine =
-      TfIdfModel::Cosine(model.Transform({"data", "entity"}),
-                         model.Transform({"entity", "match"}));
-  EXPECT_NEAR(id_cosine, string_cosine, 1e-12);
+  // N = 2 documents; "entity" is in both, "data" and "match" in one each.
+  const auto idf = [](double df) {
+    return std::log((1.0 + 2.0) / (1.0 + df)) + 1.0;
+  };
+  const double shared = idf(2.0);
+  const double unique = idf(1.0);
+  // Both documents are {unique, shared} before normalization and share
+  // only "entity": cosine = shared^2 / (unique^2 + shared^2).
+  const double closed_form =
+      shared * shared / (unique * unique + shared * shared);
+  EXPECT_NEAR(id_cosine, closed_form, 1e-12);
 }
 
 }  // namespace
