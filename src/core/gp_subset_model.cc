@@ -28,9 +28,10 @@ GpSubsetModel::GpSubsetModel(gp::GpRegression gp,
   mean_.resize(m);
   pop_prefix_.assign(m + 1, 0.0);
   // One batched posterior over every subset replaces m per-point solves:
-  // the same pass yields the posterior means and the whitened cross
-  // vectors the range accumulators need (each bit-identical to the
-  // per-point Predict / WhitenedCross it stands in for).
+  // the same pass yields the posterior means and the m x n matrix of
+  // whitened cross vectors the range accumulators need, solved in place
+  // (each bit-identical to the per-point Predict / WhitenedCross it stands
+  // in for).
   const std::vector<gp::Prediction> preds = gp_.PredictBatch(v_, &w_);
   for (size_t k = 0; k < m; ++k) {
     mean_[k] = IsExact(k) ? obs_[k].proportion
@@ -46,7 +47,7 @@ double GpSubsetModel::PriorK(size_t a, size_t b) const {
 double GpSubsetModel::PosteriorVariance(size_t k) const {
   assert(k < v_.size());
   if (IsExact(k)) return 0.0;
-  return variance_inflation_ * gp_.PosteriorVarianceFromWhitened(v_[k], w_[k]) +
+  return variance_inflation_ * gp_.PosteriorVarianceFromWhitened(v_[k], W(k)) +
          ScatterVariance(k);
 }
 
@@ -58,9 +59,7 @@ double GpSubsetModel::PopulationInRange(size_t a, size_t b) const {
 GpRangeAccumulator::GpRangeAccumulator(const GpSubsetModel* model)
     : model_(model) {
   assert(model_ != nullptr);
-  const size_t dim =
-      model_->num_subsets() > 0 ? model_->W(0).size() : size_t{0};
-  w_sum_.assign(dim, 0.0);
+  w_sum_.assign(model_->gp().num_training_points(), 0.0);
 }
 
 void GpRangeAccumulator::Clear() {
@@ -98,7 +97,7 @@ void GpRangeAccumulator::AddSubset(size_t k) {
     cross += model_->SubsetSize(j) * model_->PriorK(k, j);
   }
   prior_q_ += 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
-  const auto& wk = model_->W(k);
+  const double* wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] += nk * wk[i];
   scatter_sum_ += nk * nk * model_->ScatterVariance(k);
 }
@@ -116,7 +115,7 @@ void GpRangeAccumulator::RemoveSubset(size_t k) {
     cross += model_->SubsetSize(j) * model_->PriorK(k, j);
   }
   prior_q_ -= 2.0 * nk * cross + nk * nk * model_->PriorK(k, k);
-  const auto& wk = model_->W(k);
+  const double* wk = model_->W(k);
   for (size_t i = 0; i < w_sum_.size(); ++i) w_sum_[i] -= nk * wk[i];
   scatter_sum_ -= nk * nk * model_->ScatterVariance(k);
 }

@@ -75,8 +75,9 @@ class GpSubsetModel {
   /// LOO calibration factor applied to the GP-posterior variance part.
   double variance_inflation() const { return variance_inflation_; }
 
-  /// Whitened cross vector of subset k (L^-1 k(V, v_k)).
-  const linalg::Vector& W(size_t k) const { return w_[k]; }
+  /// Whitened cross vector of subset k (L^-1 k(V, v_k)): row k of the one
+  /// m x n whitened matrix, n = gp().num_training_points() doubles.
+  const double* W(size_t k) const { return w_.RowPtr(k); }
 
   /// Prior kernel value between subsets a and b.
   double PriorK(size_t a, size_t b) const;
@@ -94,7 +95,7 @@ class GpSubsetModel {
   std::vector<double> v_;
   std::vector<double> n_;
   std::vector<double> mean_;
-  std::vector<linalg::Vector> w_;
+  linalg::Matrix w_;  // row k = whitened cross vector of subset k
   std::vector<SubsetObservation> obs_;
   std::vector<double> scatter_;
   double variance_inflation_ = 1.0;

@@ -17,6 +17,9 @@ namespace {
 
 /// Fixed header size; the first column starts here (64-byte aligned).
 constexpr size_t kHeaderBytes = 64;
+/// Column bytes per pair (similarity, left id, right id, label).
+constexpr size_t kPairBytes =
+    sizeof(double) + 2 * sizeof(uint32_t) + sizeof(uint8_t);
 
 constexpr size_t Align64(size_t x) { return (x + 63) & ~size_t{63}; }
 
@@ -178,6 +181,15 @@ Result<std::shared_ptr<MmapColumns>> MmapColumns::Open(const std::string& path,
   }
   uint64_t n = 0;
   std::memcpy(&n, base + 8, sizeof(n));
+  // LayoutFor's arithmetic wraps modulo 2^64 for a large enough count, and
+  // a lying header could land the wrapped size on the real one; no honest
+  // count exceeds what the bytes past the header can hold.
+  if (n > (file_size - kHeaderBytes) / kPairBytes) {
+    ::munmap(map, file_size);
+    return Status::InvalidArgument(StrFormat(
+        "columns file %s: %llu pairs cannot fit in %zu bytes", path.c_str(),
+        static_cast<unsigned long long>(n), file_size));
+  }
   const ColumnLayout layout = LayoutFor(static_cast<size_t>(n));
   if (layout.file_size != file_size) {
     ::munmap(map, file_size);

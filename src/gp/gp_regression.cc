@@ -14,6 +14,12 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093454835606594728112;
 
+/// Queries per chunk of a PredictBatch that keeps no whitened output. A
+/// multiple of 16, so every chunk but the last splits into whole 16-wide
+/// solve blocks; the chunking never changes a bit of any row (each row's
+/// solve is the scalar SolveLower chain whatever block it lands in).
+constexpr size_t kPredictChunkRows = 1024;
+
 }  // namespace
 
 double Prediction::stddev() const { return std::sqrt(std::max(0.0, variance)); }
@@ -152,40 +158,47 @@ Prediction GpRegression::Predict(double x_star) const {
 }
 
 std::vector<Prediction> GpRegression::PredictBatch(
-    const std::vector<double>& x_star,
-    std::vector<linalg::Vector>* whitened) const {
+    const std::vector<double>& x_star, linalg::Matrix* whitened) const {
   const size_t n = x_.size();
   const size_t q = x_star.size();
-  // K(V*, V) as q x n rows: row j is Predict's k_star for query j (the
-  // cross-covariance is symmetric in its arguments, so building it
-  // query-major is the same values in a solve-friendly layout).
-  linalg::Matrix k_cross(q, n);
-  ThreadPool::Global()->ParallelFor(
-      q, /*grain=*/16, [&](size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j)
-          kernel_->FillRow(x_star[j], x_.data(), n, k_cross.RowPtr(j));
-      });
-  // One blocked multi-RHS forward substitution replaces q per-point solves.
-  const linalg::Matrix w = chol_.SolveLowerRows(k_cross);
   std::vector<Prediction> preds(q);
-  ThreadPool::Global()->ParallelFor(
-      q, /*grain=*/16, [&](size_t begin, size_t end) {
-        for (size_t j = begin; j < end; ++j) {
-          Prediction p;
-          p.mean = y_mean_ + linalg::DotRange(k_cross.RowPtr(j),
-                                              alpha_.data(), n);
-          p.variance = (*kernel_)(x_star[j], x_star[j]) -
-                       linalg::DotRange(w.RowPtr(j), w.RowPtr(j), n);
-          if (p.variance < 0.0) p.variance = 0.0;
-          preds[j] = p;
-        }
-      });
+  // Posterior of queries [begin, begin + rows): K(V*, V) as rows x n (row j
+  // is Predict's k_star for query begin + j — the cross-covariance is
+  // symmetric in its arguments, so building it query-major is the same
+  // values in a solve-friendly layout), means taken from it, then one
+  // blocked multi-RHS forward substitution in place turns it into the
+  // whitened cross vectors the variances are taken from. Pool tasks write
+  // disjoint rows and disjoint preds slots.
+  const auto posterior_rows = [&](size_t begin, size_t rows) {
+    linalg::Matrix k_cross(rows, n);
+    ThreadPool::Global()->ParallelFor(
+        rows, /*grain=*/16, [&](size_t lo, size_t hi) {
+          for (size_t j = lo; j < hi; ++j) {
+            double* row = k_cross.RowPtr(j);
+            kernel_->FillRow(x_star[begin + j], x_.data(), n, row);
+            preds[begin + j].mean =
+                y_mean_ + linalg::DotRange(row, alpha_.data(), n);
+          }
+        });
+    linalg::Matrix w = chol_.SolveLowerRows(std::move(k_cross));
+    ThreadPool::Global()->ParallelFor(
+        rows, /*grain=*/16, [&](size_t lo, size_t hi) {
+          for (size_t j = lo; j < hi; ++j) {
+            const double x = x_star[begin + j];
+            const double var = (*kernel_)(x, x) -
+                               linalg::DotRange(w.RowPtr(j), w.RowPtr(j), n);
+            preds[begin + j].variance = var < 0.0 ? 0.0 : var;
+          }
+        });
+    return w;
+  };
   if (whitened != nullptr) {
-    whitened->assign(q, linalg::Vector());
-    for (size_t j = 0; j < q; ++j) {
-      const double* row = w.RowPtr(j);
-      (*whitened)[j].assign(row, row + n);
-    }
+    *whitened = posterior_rows(0, q);
+  } else {
+    // Only the posteriors are kept, so the queries stream through in fixed
+    // chunks: O(chunk * n) scratch instead of a q x n matrix.
+    for (size_t begin = 0; begin < q; begin += kPredictChunkRows)
+      posterior_rows(begin, std::min(kPredictChunkRows, q - begin));
   }
   return preds;
 }
@@ -207,8 +220,8 @@ JointPrediction GpRegression::PredictJoint(
   }
   // Posterior covariance: K(V*,V*) - K(V*,V) K^-1 K(V,V*)
   //                     = K(V*,V*) - W W^T with row j of W = L^-1 k(V, x*_j),
-  // all rows obtained in one blocked multi-RHS substitution.
-  const linalg::Matrix w = chol_.SolveLowerRows(k_cross);
+  // all rows obtained in one blocked multi-RHS substitution, in place.
+  const linalg::Matrix w = chol_.SolveLowerRows(std::move(k_cross));
   jp.covariance = kernel_->GramSymmetric(x_star);
   for (size_t a = 0; a < q; ++a) {
     for (size_t b = 0; b <= a; ++b) {
@@ -232,11 +245,10 @@ linalg::Vector GpRegression::WhitenedCross(double x_star) const {
   return chol_.SolveLower(k_star);
 }
 
-double GpRegression::PosteriorVarianceFromWhitened(
-    double x_star, const linalg::Vector& w) const {
-  assert(w.size() == x_.size());
+double GpRegression::PosteriorVarianceFromWhitened(double x_star,
+                                                   const double* w) const {
   const double var = (*kernel_)(x_star, x_star) -
-                     linalg::DotRange(w.data(), w.data(), w.size());
+                     linalg::DotRange(w, w, x_.size());
   return var < 0.0 ? 0.0 : var;
 }
 

@@ -83,16 +83,19 @@ class GpRegression {
   /// Posterior mean/variance at one query point.
   Prediction Predict(double x_star) const;
 
-  /// Posterior means/variances at many query points: one K(V*, V) build
-  /// plus one blocked multi-right-hand-side triangular solve for the whole
-  /// batch (Cholesky::SolveLowerRows) instead of a per-point solve each.
-  /// Entry i is bit-identical to Predict(x_star[i]) at any thread count.
-  /// When `whitened` is non-null it receives the whitened cross vectors
-  /// L^-1 k(V, x*_i) the solve produces (what WhitenedCross returns per
-  /// point) — GpSubsetModel consumes both in one pass.
+  /// Posterior means/variances at many query points: K(V*, V) rows plus
+  /// blocked multi-right-hand-side triangular solves in place
+  /// (Cholesky::SolveLowerRows) instead of a per-point solve each. Entry i
+  /// is bit-identical to Predict(x_star[i]) at any thread count. Without
+  /// `whitened` the queries are walked in fixed chunks, so scratch is
+  /// O(chunk * n) whatever the batch size. When `whitened` is non-null it
+  /// receives the q x n matrix whose row i is the whitened cross vector
+  /// L^-1 k(V, x*_i) (what WhitenedCross returns per point), filled and
+  /// solved in place as the only q x n buffer — GpSubsetModel consumes
+  /// both in one pass.
   std::vector<Prediction> PredictBatch(
       const std::vector<double>& x_star,
-      std::vector<linalg::Vector>* whitened = nullptr) const;
+      linalg::Matrix* whitened = nullptr) const;
 
   /// Joint posterior over many query points.
   JointPrediction PredictJoint(const std::vector<double>& x_star) const;
@@ -109,13 +112,13 @@ class GpRegression {
   linalg::Vector WhitenedCross(double x_star) const;
 
   /// Posterior variance k(x*,x*) - w.w (clamped at 0) at a query point whose
-  /// whitened cross vector `w` was already computed (by WhitenedCross or the
-  /// PredictBatch out-param). O(len(V)) — no triangular solve — which is what
-  /// makes per-subset risk scoring over cached whitened vectors cheap
-  /// (GpSubsetModel::PosteriorVariance). `w` must have been produced by THIS
-  /// model; equals Predict(x_star).variance exactly.
-  double PosteriorVarianceFromWhitened(double x_star,
-                                       const linalg::Vector& w) const;
+  /// whitened cross vector `w` was already computed (a WhitenedCross result
+  /// or a row of the PredictBatch out-param). O(len(V)) — no triangular
+  /// solve — which is what makes per-subset risk scoring over cached
+  /// whitened vectors cheap (GpSubsetModel::PosteriorVariance). `w` points
+  /// at num_training_points() doubles produced by THIS model; equals
+  /// Predict(x_star).variance exactly.
+  double PosteriorVarianceFromWhitened(double x_star, const double* w) const;
 
   /// The fitted kernel (hyperparameters as selected at Fit time).
   const Kernel& kernel() const { return *kernel_; }

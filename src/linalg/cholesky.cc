@@ -141,12 +141,12 @@ Vector Cholesky::SolveLower(const Vector& b) const {
   return y;
 }
 
-Matrix Cholesky::SolveLowerRows(const Matrix& rhs_rows) const {
+Matrix Cholesky::SolveLowerRows(Matrix rhs_rows) const {
   const size_t n = l_.rows();
   assert(rhs_rows.cols() == n);
   const size_t q = rhs_rows.rows();
-  Matrix y = rhs_rows;  // blocked rows are overwritten with their solutions
-  if (q == 0 || n == 0) return y;
+  // Every row is overwritten with its solution in place.
+  if (q == 0 || n == 0) return rhs_rows;
 
   // Right-hand sides are solved in interleaved blocks: a block of W chains
   // lives in one n x W scratch where row t holds element t of every chain,
@@ -161,13 +161,13 @@ Matrix Cholesky::SolveLowerRows(const Matrix& rhs_rows) const {
   auto solve_block = [&](size_t base, auto wtag, double* buf) {
     constexpr int kW = decltype(wtag)::value;
     for (int k = 0; k < kW; ++k) {
-      const double* row = y.RowPtr(base + k);
+      const double* row = rhs_rows.RowPtr(base + k);
       for (size_t t = 0; t < n; ++t) buf[t * kW + k] = row[t];
     }
     for (size_t i = 0; i < n; ++i)
       SubDotInterleavedStep<kW>(l_.RowPtr(i), i, l_(i, i), buf);
     for (int k = 0; k < kW; ++k) {
-      double* row = y.RowPtr(base + k);
+      double* row = rhs_rows.RowPtr(base + k);
       for (size_t t = 0; t < n; ++t) row[t] = buf[t * kW + k];
     }
   };
@@ -175,7 +175,7 @@ Matrix Cholesky::SolveLowerRows(const Matrix& rhs_rows) const {
   const size_t blocks16 = q / 16;
   if (blocks16 > 0) {
     // Per-task scratch (one block's worth, n x 16): small enough to come
-    // from the allocator's fast path, and tasks write disjoint rows of y.
+    // from the allocator's fast path, and tasks write disjoint rows.
     ThreadPool::Global()->ParallelFor(
         blocks16, /*grain=*/1, [&](size_t blk_begin, size_t blk_end) {
           std::unique_ptr<double[]> scratch(new double[n * 16]);
@@ -196,11 +196,11 @@ Matrix Cholesky::SolveLowerRows(const Matrix& rhs_rows) const {
     done += 4;
   }
   for (size_t r = done; r < q; ++r) {
-    double* row = y.RowPtr(r);
+    double* row = rhs_rows.RowPtr(r);
     for (size_t i = 0; i < n; ++i)
       row[i] = SubDotRange(row[i], l_.RowPtr(i), row, i) / l_(i, i);
   }
-  return y;
+  return rhs_rows;
 }
 
 Vector Cholesky::Solve(const Vector& b) const {

@@ -52,13 +52,16 @@ class Cholesky {
 
   /// Multi-right-hand-side forward substitution: solves L y = rhs for every
   /// ROW of `rhs_rows` (q x n, one right-hand side per row) and returns the
-  /// q x n matrix whose row j is the solution for row j. Row j is computed
-  /// with the exact arithmetic of SolveLower on that row — bit-identical at
-  /// any thread count — but rows are processed in blocks of four whose
+  /// q x n matrix whose row j is the solution for row j. The right-hand
+  /// sides are taken by value and overwritten with their solutions, so a
+  /// caller that std::moves its matrix in gets it back solved without a
+  /// second q x n buffer ever existing. Row j is computed with the exact
+  /// arithmetic of SolveLower on that row — bit-identical at any thread
+  /// count — but rows are processed in blocks of four whose
   /// independent accumulator chains overlap in the FPU pipeline
   /// (SubDotRange4) and share each streamed L row, which is where batched
   /// prediction gets its single-core speedup.
-  Matrix SolveLowerRows(const Matrix& rhs_rows) const;
+  Matrix SolveLowerRows(Matrix rhs_rows) const;
 
   /// log(det(A)) = 2 * sum(log(L_ii)); cheap once factored.
   double LogDeterminant() const;

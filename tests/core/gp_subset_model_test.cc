@@ -45,6 +45,18 @@ TEST(GpSubsetModelTest, MeansClampedToUnitInterval) {
   }
 }
 
+TEST(GpSubsetModelTest, WhitenedRowsMatchWhitenedCross) {
+  const auto model = MakeModel();
+  const size_t dim = model.gp().num_training_points();
+  for (size_t k = 0; k < model.num_subsets(); ++k) {
+    const linalg::Vector w = model.gp().WhitenedCross(model.AvgSimilarity(k));
+    ASSERT_EQ(w.size(), dim);
+    const double* row = model.W(k);
+    for (size_t i = 0; i < dim; ++i)
+      EXPECT_EQ(row[i], w[i]) << "subset " << k << " dim " << i;  // bitwise
+  }
+}
+
 TEST(GpSubsetModelTest, PopulationInRange) {
   const auto model = MakeModel();
   EXPECT_DOUBLE_EQ(model.PopulationInRange(0, 19), 2000.0);

@@ -87,6 +87,24 @@ TEST(MmapColumnsTest, OpenRejectsBadMagicAndTruncation) {
   std::remove(path.c_str());
 }
 
+TEST(MmapColumnsTest, OpenRejectsCountWhoseLayoutWraps) {
+  // 62,264 bytes whose header claims 17361641481138405176 pairs: the column
+  // offsets for that count wrap modulo 2^64 onto exactly this file size, so
+  // only a bound on the count itself can reject it.
+  const std::string path = TempPath("wrapping_count.humocol");
+  std::vector<char> bytes(62264, 0);
+  std::memcpy(bytes.data(), kColumnsMagic, sizeof(kColumnsMagic));
+  const uint64_t lying_count = 17361641481138405176ull;
+  std::memcpy(bytes.data() + 8, &lying_count, sizeof(lying_count));
+  {
+    std::ofstream f(path, std::ios::binary);
+    f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  EXPECT_FALSE(MmapColumns::Open(path).ok());
+  EXPECT_FALSE(MmapColumns::Open(path, /*verify_sorted=*/true).ok());
+  std::remove(path.c_str());
+}
+
 TEST(MmapColumnsTest, VerifySortedCatchesInversions) {
   Workload w;
   w.Add({0, 0, 0.9, false});

@@ -50,19 +50,50 @@ TEST(PredictBatchTest, MatchesPerPointBitForBit) {
   const GpRegression gp = FitRbf(t);
   // 101 queries: exercises the blocked multi-RHS path AND the tail rows.
   const std::vector<double> qs = MakeQueries(101, 2);
-  std::vector<linalg::Vector> whitened;
+  linalg::Matrix whitened;
   const std::vector<Prediction> batch = gp.PredictBatch(qs, &whitened);
   ASSERT_EQ(batch.size(), qs.size());
-  ASSERT_EQ(whitened.size(), qs.size());
+  ASSERT_EQ(whitened.rows(), qs.size());
   for (size_t j = 0; j < qs.size(); ++j) {
     const Prediction p = gp.Predict(qs[j]);
     EXPECT_EQ(batch[j].mean, p.mean) << "query " << j;          // bitwise
     EXPECT_EQ(batch[j].variance, p.variance) << "query " << j;  // bitwise
     const linalg::Vector w = gp.WhitenedCross(qs[j]);
-    ASSERT_EQ(whitened[j].size(), w.size());
+    ASSERT_EQ(whitened.cols(), w.size());
     for (size_t i = 0; i < w.size(); ++i)
-      EXPECT_EQ(whitened[j][i], w[i]) << "query " << j << " dim " << i;
+      EXPECT_EQ(whitened(j, i), w[i]) << "query " << j << " dim " << i;
   }
+}
+
+TEST(PredictBatchTest, ChunkBoundariesMatchPerPointBitForBit) {
+  // PredictBatch without whitened output walks the queries in chunks of
+  // 1024 (gp_regression.cc); two full chunks plus a 37-row tail put rows on
+  // both sides of every chunk boundary and through the scalar solve tail.
+  constexpr size_t kChunkRows = 1024;
+  const TrainingSet t = MakeTraining(40, 11);
+  const std::vector<double> qs = MakeQueries(2 * kChunkRows + 37, 12);
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    ThreadPool::SetGlobalThreads(threads);
+    const GpRegression gp = FitRbf(t);
+    const std::vector<Prediction> chunked = gp.PredictBatch(qs);
+    linalg::Matrix whitened;
+    const std::vector<Prediction> whole = gp.PredictBatch(qs, &whitened);
+    ASSERT_EQ(chunked.size(), qs.size());
+    ASSERT_EQ(whole.size(), qs.size());
+    ASSERT_EQ(whitened.rows(), qs.size());
+    ASSERT_EQ(whitened.cols(), t.x.size());
+    for (size_t j = 0; j < qs.size(); ++j) {
+      const Prediction p = gp.Predict(qs[j]);
+      EXPECT_EQ(chunked[j].mean, p.mean) << "query " << j;  // bitwise
+      EXPECT_EQ(chunked[j].variance, p.variance) << "query " << j;
+      EXPECT_EQ(whole[j].mean, p.mean) << "query " << j;
+      EXPECT_EQ(whole[j].variance, p.variance) << "query " << j;
+      const linalg::Vector w = gp.WhitenedCross(qs[j]);
+      for (size_t i = 0; i < w.size(); ++i)
+        EXPECT_EQ(whitened(j, i), w[i]) << "query " << j << " dim " << i;
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
 }
 
 TEST(PredictBatchTest, ThreadCountDoesNotChangeResults) {

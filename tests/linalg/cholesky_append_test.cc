@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/random.h"
 #include "linalg/cholesky.h"
@@ -153,7 +154,8 @@ TEST(CholeskyAppendTest, SolveLowerRowsMatchesPerRowSolveBitwise) {
   Rng rng(23);
   for (size_t r = 0; r < q; ++r)
     for (size_t c = 0; c < n; ++c) rhs(r, c) = rng.NextDouble(-1.0, 1.0);
-  const Matrix sol = chol->SolveLowerRows(rhs);
+  Matrix rhs_copy = rhs;  // the solve consumes its argument in place
+  const Matrix sol = chol->SolveLowerRows(std::move(rhs_copy));
   for (size_t r = 0; r < q; ++r) {
     Vector b(n);
     for (size_t c = 0; c < n; ++c) b[c] = rhs(r, c);
