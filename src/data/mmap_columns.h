@@ -39,6 +39,11 @@ class MmapColumns {
   /// Maps `path`. With `verify_sorted`, additionally scans the similarity
   /// and id columns and fails on any PairLess inversion (one sequential
   /// pass — pages the whole file in; meant for tests and debugging).
+  /// The file is checked here only: it must not be truncated or rewritten
+  /// in place while mapped, or a later column read that touches a page
+  /// past the new end dies with SIGBUS instead of returning an error.
+  /// Replace a columns file by writing a new one and renaming it over the
+  /// old path; an existing mapping keeps the old inode.
   static Result<std::shared_ptr<MmapColumns>> Open(const std::string& path,
                                                    bool verify_sorted = false);
 

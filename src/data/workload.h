@@ -176,7 +176,10 @@ class Workload {
   /// as a read-only workload. Zero-copy: reads are served by the kernel's
   /// page cache, so resolving a 10M-pair workload needs RAM for the
   /// optimizer state only, not the columns. The mapping is shared — copies
-  /// of this workload stay cheap and views never dangle.
+  /// of this workload stay cheap and views never dangle. The file must
+  /// stay unchanged while any such workload lives: MmapColumns::Open is
+  /// its only check, and a truncated file makes later reads die with
+  /// SIGBUS.
   static Workload FromMmap(std::shared_ptr<MmapColumns> columns);
 
  private:

@@ -1,10 +1,11 @@
 #include "gp/gp_regression.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <optional>
+#include <thread>
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
@@ -19,6 +20,63 @@ constexpr double kLog2Pi = 1.8378770664093454835606594728112;
 /// solve blocks; the chunking never changes a bit of any row (each row's
 /// solve is the scalar SolveLower chain whatever block it lands in).
 constexpr size_t kPredictChunkRows = 1024;
+
+/// The shape checks Fit applies to its training set, shared with the grid
+/// selector so a malformed set fails with the same message either way.
+Status CheckTrainingShapes(size_t x_size, size_t y_size,
+                           size_t noise_variances_size) {
+  if (x_size != y_size)
+    return Status::InvalidArgument(
+        StrFormat("x/y size mismatch: %zu vs %zu", x_size, y_size));
+  if (x_size == 0) return Status::InvalidArgument("empty training set");
+  if (noise_variances_size != 0 && noise_variances_size != x_size)
+    return Status::InvalidArgument("noise_variances must parallel x");
+  return Status::OK();
+}
+
+/// Adds the observation noise of the training diagonal: the homoscedastic
+/// floor, then each point's own variance.
+void AddTrainingNoise(const GpOptions& options,
+                      const std::vector<double>& noise_variances,
+                      linalg::Matrix* k) {
+  k->AddToDiagonal(options.noise_variance);
+  for (size_t i = 0; i < noise_variances.size(); ++i)
+    (*k)(i, i) += noise_variances[i];
+}
+
+/// The constant mean subtracted from the targets (0 without center_mean).
+double TargetMean(const std::vector<double>& y, const GpOptions& options) {
+  if (!options.center_mean) return 0.0;
+  double mean = 0.0;
+  for (double v : y) mean += v;
+  return mean / static_cast<double>(y.size());
+}
+
+/// log p(y | X) = -y'K^-1 y / 2 - log|K| / 2 - n log(2 pi) / 2, from the
+/// factor of K, the centered targets y and alpha = K^-1 y.
+double LogMarginal(const linalg::Cholesky& chol,
+                   const std::vector<double>& y_centered,
+                   const linalg::Vector& alpha) {
+  const double n = static_cast<double>(y_centered.size());
+  return -0.5 * linalg::Dot(y_centered, alpha) -
+         0.5 * chol.LogDeterminant() - 0.5 * n * kLog2Pi;
+}
+
+std::unique_ptr<Kernel> MakeKernel(KernelFamily family,
+                                   const GpCandidate& cand) {
+  switch (family) {
+    case KernelFamily::kRbf:
+      return std::make_unique<RbfKernel>(cand.signal_variance,
+                                         cand.length_scale);
+    case KernelFamily::kMatern32:
+      return std::make_unique<Matern32Kernel>(cand.signal_variance,
+                                              cand.length_scale);
+    case KernelFamily::kMatern52:
+      return std::make_unique<Matern52Kernel>(cand.signal_variance,
+                                              cand.length_scale);
+  }
+  return nullptr;
+}
 
 }  // namespace
 
@@ -43,17 +101,11 @@ double JointPrediction::WeightedTotalStdDev(
 }
 
 void GpRegression::FinishFit() {
-  y_mean_ = 0.0;
-  if (options_.center_mean) {
-    for (double v : y_) y_mean_ += v;
-    y_mean_ /= static_cast<double>(y_.size());
-  }
+  y_mean_ = TargetMean(y_, options_);
   y_centered_.resize(y_.size());
   for (size_t i = 0; i < y_.size(); ++i) y_centered_[i] = y_[i] - y_mean_;
   alpha_ = chol_.Solve(y_centered_);
-  const double n = static_cast<double>(x_.size());
-  log_marginal_ = -0.5 * linalg::Dot(y_centered_, alpha_) -
-                  0.5 * chol_.LogDeterminant() - 0.5 * n * kLog2Pi;
+  log_marginal_ = LogMarginal(chol_, y_centered_, alpha_);
 }
 
 Result<GpRegression> GpRegression::Fit(
@@ -62,12 +114,8 @@ Result<GpRegression> GpRegression::Fit(
     std::vector<double> noise_variances,
     const linalg::Matrix* pairwise_distances) {
   if (!kernel) return Status::InvalidArgument("kernel must not be null");
-  if (x.size() != y.size())
-    return Status::InvalidArgument(
-        StrFormat("x/y size mismatch: %zu vs %zu", x.size(), y.size()));
-  if (x.empty()) return Status::InvalidArgument("empty training set");
-  if (!noise_variances.empty() && noise_variances.size() != x.size())
-    return Status::InvalidArgument("noise_variances must parallel x");
+  HUMO_RETURN_NOT_OK(
+      CheckTrainingShapes(x.size(), y.size(), noise_variances.size()));
   if (pairwise_distances != nullptr &&
       (pairwise_distances->rows() != x.size() ||
        pairwise_distances->cols() != x.size()))
@@ -82,9 +130,7 @@ Result<GpRegression> GpRegression::Fit(
   linalg::Matrix k = pairwise_distances != nullptr
                          ? gp.kernel_->GramFromDistances(*pairwise_distances)
                          : gp.kernel_->GramSymmetric(gp.x_);
-  k.AddToDiagonal(options.noise_variance);
-  for (size_t i = 0; i < noise_variances.size(); ++i)
-    k(i, i) += noise_variances[i];
+  AddTrainingNoise(options, noise_variances, &k);
 
   HUMO_ASSIGN_OR_RETURN(gp.chol_, linalg::Cholesky::Factor(k));
   gp.FinishFit();
@@ -257,52 +303,89 @@ Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<GpCandidate>& grid, KernelFamily family,
     GpOptions options, std::vector<double> noise_variances) {
   if (grid.empty()) return Status::InvalidArgument("empty candidate grid");
+  // A shape error would fail every candidate alike; report it as Fit
+  // would, before the n x n distance matrix is built for nothing.
+  HUMO_RETURN_NOT_OK(
+      CheckTrainingShapes(x.size(), y.size(), noise_variances.size()));
   // The pairwise distances are the kernel-independent part of every
   // candidate's Gram matrix; build them once for the whole grid instead of
   // re-deriving all n^2 of them inside each fit.
   const linalg::Matrix distances = PairwiseDistances(x);
-  // Candidate fits are independent (each builds its own Gram matrix and
-  // Cholesky factor), so the grid is the natural unit of parallelism — one
-  // fit per task, kernel construction inside each fit running inline. The
-  // winner is selected serially afterwards with the same strict-improvement
-  // rule the serial loop applied (first-best wins on ties), so the chosen
-  // model is identical at any thread count.
-  std::vector<std::optional<Result<GpRegression>>> fits(grid.size());
-  ThreadPool::Global()->ParallelFor(
-      grid.size(), /*grain=*/1, [&](size_t begin, size_t end) {
-        for (size_t c = begin; c < end; ++c) {
-          const auto& cand = grid[c];
-          std::unique_ptr<Kernel> k;
-          switch (family) {
-            case KernelFamily::kRbf:
-              k = std::make_unique<RbfKernel>(cand.signal_variance,
-                                              cand.length_scale);
-              break;
-            case KernelFamily::kMatern32:
-              k = std::make_unique<Matern32Kernel>(cand.signal_variance,
-                                                   cand.length_scale);
-              break;
-            case KernelFamily::kMatern52:
-              k = std::make_unique<Matern52Kernel>(cand.signal_variance,
-                                                   cand.length_scale);
-              break;
-          }
-          fits[c].emplace(GpRegression::Fit(std::move(k), x, y, options,
-                                            noise_variances, &distances));
-        }
-      });
-  double best_lml = -std::numeric_limits<double>::infinity();
-  Result<GpRegression> best =
-      Status::Internal("no candidate produced a valid fit");
-  for (auto& fit : fits) {
-    if (!fit.has_value() || !fit->ok()) continue;
-    const double lml = (*fit)->LogMarginalLikelihood();
-    if (lml > best_lml) {
-      best_lml = lml;
-      best = std::move(*fit);
+  // Scoring a candidate needs its LML only, so no model is built. Workers
+  // pull candidates from a shared cursor; each fills its one Gram buffer in
+  // place per candidate (the entries GramFromDistances gives, plus Fit's
+  // noise), factors it, records the LML and drops the factor. So at most one
+  // n x n Gram and one factor per pool thread are alive, never a fit per
+  // candidate, and no candidate pays the page faults of a fresh Gram
+  // buffer. A failed factorization keeps -inf and, like a NaN, never wins.
+  const size_t n = x.size();
+  const double y_mean = TargetMean(y, options);
+  std::vector<double> y_centered(n);
+  for (size_t i = 0; i < n; ++i) y_centered[i] = y[i] - y_mean;
+  std::vector<double> lmls(grid.size(),
+                           -std::numeric_limits<double>::infinity());
+  // The winner is selected with the strict-improvement rule (first-best
+  // wins on ties), then fitted from scratch. Its Gram matrix, factor and
+  // LML are the ones scored, bit for bit: the same expressions, and
+  // Cholesky::Factor is bit-identical at any thread count.
+  const auto fit_winner = [&]() -> Result<GpRegression> {
+    size_t best = grid.size();
+    double best_lml = -std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < grid.size(); ++c) {
+      if (lmls[c] > best_lml) {
+        best_lml = lmls[c];
+        best = c;
+      }
     }
-  }
-  return best;
+    if (best == grid.size())
+      return Status::Internal("no candidate produced a valid fit");
+    Result<GpRegression> fit =
+        GpRegression::Fit(MakeKernel(family, grid[best]), x, y, options,
+                          noise_variances, &distances);
+    assert(fit.ok() && fit->LogMarginalLikelihood() == best_lml);
+    return fit;
+  };
+  ThreadPool* pool = ThreadPool::Global();
+  const size_t slots = std::min(grid.size(), pool->num_threads());
+  std::atomic<size_t> next_candidate{0};
+  std::atomic<size_t> slots_left{slots};
+  Result<GpRegression> winner = Status::Internal("grid was not scored");
+  std::thread::id winner_thread;
+  pool->ParallelFor(slots, /*grain=*/1, [&](size_t begin, size_t end) {
+    {
+      linalg::Matrix gram;
+      for (size_t c; (c = next_candidate.fetch_add(1)) < grid.size();) {
+        if (gram.empty()) gram = linalg::Matrix(n, n);
+        const std::unique_ptr<Kernel> kernel = MakeKernel(family, grid[c]);
+        for (size_t i = 0; i < n; ++i) {
+          for (size_t j = 0; j <= i; ++j) {
+            const double v = kernel->EvalDistance(distances(i, j));
+            gram(i, j) = v;
+            gram(j, i) = v;
+          }
+        }
+        AddTrainingNoise(options, noise_variances, &gram);
+        const Result<linalg::Cholesky> chol = linalg::Cholesky::Factor(gram);
+        if (chol.ok())
+          lmls[c] = LogMarginal(*chol, y_centered, chol->Solve(y_centered));
+      }
+    }
+    // The last slot to finish has every LML and fits the winner in place,
+    // inside the pool's region: nested ParallelFor calls run inline there,
+    // so the factorization is the serial one rather than a pool dispatch
+    // per column that contends with the process's other threads.
+    if (slots_left.fetch_sub(end - begin) == end - begin) {
+      winner = fit_winner();
+      winner_thread = std::this_thread::get_id();
+    }
+  });
+  // A model fitted on a pool thread lives in that thread's malloc arena,
+  // where it would pin the freed candidate buffers beneath it for as long
+  // as the caller keeps it. A copy into the caller's heap releases them
+  // (without it certify_2m's peak RSS read 1-7 MB higher, run to run).
+  if (winner.ok() && winner_thread != std::this_thread::get_id())
+    return winner->Clone();
+  return winner;
 }
 
 std::vector<GpCandidate> DefaultGpGrid() {

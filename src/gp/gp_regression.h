@@ -160,11 +160,19 @@ struct GpCandidate {
 /// Kernel families the selector can instantiate.
 enum class KernelFamily { kRbf, kMatern32, kMatern52 };
 
-/// Fits one GP per candidate on a small grid and returns the one with the
-/// highest log marginal likelihood (simple, derivative-free model selection;
-/// adequate for 1-D inputs). The pairwise-distance matrix of `x` is computed
-/// ONCE and shared by every candidate fit (all kernel families are
+/// Scores every candidate of a small grid by log marginal likelihood and
+/// returns the GP fitted with the best one (simple, derivative-free model
+/// selection; adequate for 1-D inputs). The pairwise-distance matrix of `x`
+/// is computed ONCE and shared by every candidate (all kernel families are
 /// stationary), so the per-candidate cost is the factorization alone.
+/// Candidates are scored by LML alone: each pool thread factors one
+/// candidate at a time in a reused Gram buffer and keeps only the LML. The
+/// winner (first strict maximum; a failed factorization never wins) is then
+/// fitted from scratch by the last pool thread to finish, bit-identical to
+/// what the grid scored, and handed back in the caller's heap. So at most
+/// one Gram matrix and one factor per pool thread are alive, plus the
+/// returned model. Shape errors in `x`, `y` or `noise_variances` return
+/// Fit's InvalidArgument; Internal means every candidate failed to factor.
 Result<GpRegression> SelectGpByMarginalLikelihood(
     const std::vector<double>& x, const std::vector<double>& y,
     const std::vector<GpCandidate>& grid, KernelFamily family,

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <memory>
+#include <vector>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 
 namespace humo::gp {
 namespace {
@@ -180,6 +185,101 @@ TEST(GpModelSelectionTest, WorksForAllKernelFamilies) {
     auto gp = SelectGpByMarginalLikelihood(x, y, DefaultGpGrid(), family);
     ASSERT_TRUE(gp.ok());
     EXPECT_NEAR(gp->Predict(0.5).mean, 0.5, 0.15);
+  }
+}
+
+// Noisy logistic proportions on `n` sorted inputs with per-point sampling
+// noise — the shape of a SAMP training set.
+struct SelectionSet {
+  std::vector<double> x, y, noise;
+};
+
+SelectionSet MakeSelectionSet(size_t n, uint64_t seed) {
+  Rng rng(seed);
+  SelectionSet t;
+  for (size_t i = 0; i < n; ++i) t.x.push_back(rng.NextDouble());
+  std::sort(t.x.begin(), t.x.end());
+  for (double xi : t.x) {
+    t.y.push_back(0.95 / (1.0 + std::exp(-12.0 * (xi - 0.5))) +
+                  0.02 * rng.NextGaussian());
+    t.noise.push_back(1e-4 + 4e-4 * rng.NextDouble());
+  }
+  return t;
+}
+
+TEST(GpModelSelectionTest, MatchesSerialReferenceBitForBit) {
+  // n >= 96 puts the reference fits on the column-parallel factor path at 4
+  // threads, while the selector factors inside pool tasks, serially.
+  const SelectionSet t = MakeSelectionSet(128, 5);
+  const std::vector<GpCandidate> grid = DefaultGpGrid();
+  GpOptions o;
+  o.noise_variance = 1e-6;
+  const std::vector<double> queries = {0.0, 0.13, 0.5, 0.61, 0.87, 1.0};
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    SCOPED_TRACE(threads);
+    ThreadPool::SetGlobalThreads(threads);
+    // Reference: fit every candidate, keep the first strict maximum.
+    std::unique_ptr<GpRegression> ref;
+    double ref_lml = -std::numeric_limits<double>::infinity();
+    for (const GpCandidate& cand : grid) {
+      auto fit = GpRegression::Fit(
+          std::make_unique<RbfKernel>(cand.signal_variance, cand.length_scale),
+          t.x, t.y, o, t.noise);
+      if (fit.ok() && fit->LogMarginalLikelihood() > ref_lml) {
+        ref_lml = fit->LogMarginalLikelihood();
+        ref = std::make_unique<GpRegression>(std::move(*fit));
+      }
+    }
+    ASSERT_NE(ref, nullptr);
+    auto gp = SelectGpByMarginalLikelihood(t.x, t.y, grid, KernelFamily::kRbf,
+                                           o, t.noise);
+    ASSERT_TRUE(gp.ok()) << gp.status().ToString();
+    EXPECT_EQ(gp->LogMarginalLikelihood(), ref_lml);  // bitwise
+    const auto& kernel = dynamic_cast<const RbfKernel&>(gp->kernel());
+    const auto& ref_kernel = dynamic_cast<const RbfKernel&>(ref->kernel());
+    EXPECT_EQ(kernel.signal_variance(), ref_kernel.signal_variance());
+    EXPECT_EQ(kernel.length_scale(), ref_kernel.length_scale());
+    for (const double q : queries) {
+      const Prediction p = gp->Predict(q);
+      const Prediction r = ref->Predict(q);
+      EXPECT_EQ(p.mean, r.mean) << "at " << q;  // bitwise
+      EXPECT_EQ(p.variance, r.variance) << "at " << q;
+    }
+  }
+  ThreadPool::SetGlobalThreads(0);
+}
+
+TEST(GpModelSelectionTest, EveryCandidateFailingIsInternal) {
+  // A strongly negative diagonal defeats every jitter step of every
+  // candidate's factorization.
+  const SelectionSet t = MakeSelectionSet(16, 6);
+  const std::vector<double> noise(t.x.size(), -10.0);
+  auto gp = SelectGpByMarginalLikelihood(t.x, t.y, DefaultGpGrid(),
+                                         KernelFamily::kRbf, {}, noise);
+  ASSERT_FALSE(gp.ok());
+  EXPECT_EQ(gp.status().code(), StatusCode::kInternal);
+}
+
+TEST(GpModelSelectionTest, ShapeErrorsReportFitsInvalidArgument) {
+  const std::vector<double> x = {0.1, 0.5, 0.9};
+  const std::vector<double> y = {0.2, 0.5, 0.8};
+  struct Case {
+    std::vector<double> x, y, noise;
+  };
+  const std::vector<Case> cases = {
+      {{}, {}, {}},           // empty training set
+      {x, {0.2, 0.5}, {}},    // x/y size mismatch
+      {x, y, {1e-4, 1e-4}},  // noise_variances not parallel to x
+  };
+  for (const Case& c : cases) {
+    auto fit = GpRegression::Fit(std::make_unique<RbfKernel>(1.0, 0.1), c.x,
+                                 c.y, {}, c.noise);
+    auto gp = SelectGpByMarginalLikelihood(c.x, c.y, DefaultGpGrid(),
+                                           KernelFamily::kRbf, {}, c.noise);
+    ASSERT_FALSE(gp.ok());
+    EXPECT_EQ(gp.status().code(), StatusCode::kInvalidArgument)
+        << gp.status().ToString();
+    EXPECT_EQ(gp.status(), fit.status());
   }
 }
 
