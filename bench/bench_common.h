@@ -9,9 +9,14 @@
 //                  the paper averaged 100).
 //   HUMO_SEED    — base seed (default 1000).
 
+#include <cstddef>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "humo.h"
 
@@ -77,6 +82,76 @@ inline void PrintHeader(const std::string& title, const std::string& paper) {
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper.c_str());
   std::printf("============================================================\n\n");
+}
+
+/// One named field of a bench contract file, its value already rendered as
+/// JSON: integers exactly, bools as true/false, strings quoted (plain ASCII,
+/// nothing to escape), doubles through a printf format, a field list as an
+/// inline object, nullptr as null.
+struct JsonField {
+  // Any integer type; bool takes the non-template overload below.
+  template <typename T, typename = std::enable_if_t<std::is_integral_v<T>>>
+  JsonField(std::string n, T v)
+      : name(std::move(n)), json(std::to_string(v)) {}
+  JsonField(std::string n, bool v)
+      : name(std::move(n)), json(v ? "true" : "false") {}
+  JsonField(std::string n, double v, const char* format = "%.3f")
+      : name(std::move(n)) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), format, v);
+    json = buf;
+  }
+  JsonField(std::string n, const std::string& v)
+      : name(std::move(n)), json("\"" + v + "\"") {}
+  JsonField(std::string n, const char* v)
+      : JsonField(std::move(n), std::string(v)) {}
+  JsonField(std::string n, std::nullptr_t) : name(std::move(n)), json("null") {}
+  JsonField(std::string n, const std::vector<JsonField>& object)
+      : name(std::move(n)), json(JsonObject(object)) {}
+
+  static std::string JsonObject(const std::vector<JsonField>& fields) {
+    std::string out = "{";
+    for (size_t i = 0; i < fields.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += "\"" + fields[i].name + "\": " + fields[i].json;
+    }
+    return out + "}";
+  }
+
+  std::string name;
+  std::string json;
+};
+using JsonFields = std::vector<JsonField>;
+
+/// Writes the bench's contract file BENCH_<stem>.json in the working
+/// directory: the `head` fields one per line, then "results" with one row
+/// object per line, then the `tail` fields. Returns false, after saying so
+/// on stderr, when the file cannot be opened.
+inline bool WriteBenchJson(const std::string& stem, const JsonFields& head,
+                           const std::vector<JsonFields>& rows,
+                           const JsonFields& tail = {}) {
+  const std::string path = "BENCH_" + stem + ".json";
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  out << "{\n";
+  for (const JsonField& f : head) {
+    out << "  \"" << f.name << "\": " << f.json << ",\n";
+  }
+  out << "  \"results\": [\n";
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out << "    " << JsonField::JsonObject(rows[i])
+        << (i + 1 < rows.size() ? ",\n" : "\n");
+  }
+  out << "  ]";
+  for (const JsonField& f : tail) {
+    out << ",\n  \"" << f.name << "\": " << f.json;
+  }
+  out << "\n}\n";
+  std::printf("\nwrote %s\n", path.c_str());
+  return true;
 }
 
 }  // namespace humo::bench

@@ -38,10 +38,8 @@
 //                               guarantee contract assumes a crowd whose
 //                               verdicts match the expert's)
 //   HUMO_SEED                   sampling seed (default 1000)
-//   HUMO_BENCH_CROWD_JSON       output path (default BENCH_crowd.json)
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -246,46 +244,34 @@ int main() {
         r.inferred_fraction, r.task_reduction, r.precision, r.recall);
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_CROWD_JSON", "BENCH_crowd.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonFields& f = json_rows.emplace_back();
+    f.emplace_back("workload", r.workload);
+    f.emplace_back("certifier", r.certifier);
+    f.emplace_back("pairs", r.pairs);
+    f.emplace_back("questions", r.questions);
+    f.emplace_back("tasks_posted", r.tasks_posted);
+    f.emplace_back("pairs_purchased", r.pairs_purchased);
+    f.emplace_back("pairs_inferred", r.pairs_inferred);
+    f.emplace_back("worker_answers", r.worker_answers);
+    f.emplace_back("inferred_fraction", r.inferred_fraction, "%.6f");
+    f.emplace_back("task_reduction", r.task_reduction, "%.6f");
+    f.emplace_back("precision", r.precision, "%.6f");
+    f.emplace_back("recall", r.recall, "%.6f");
+    f.emplace_back("certified", r.certified);
+    f.emplace_back("tasks_le_questions", r.tasks_le_questions);
+    f.emplace_back("thread_invariant", r.thread_invariant);
   }
-  json << "{\n"
-       << "  \"bench\": \"crowd\",\n"
-       << "  \"alpha\": " << target << ",\n"
-       << "  \"beta\": " << target << ",\n"
-       << "  \"theta\": " << target << ",\n"
-       << "  \"task_capacity\": " << capacity << ",\n"
-       << "  \"workers_per_pair\": " << crowd_options.workers_per_pair
-       << ",\n"
-       << "  \"worker_error_rate\": " << crowd_options.worker_error_rate
-       << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"workload\": \"%s\", \"certifier\": \"%s\", \"pairs\": %zu, "
-        "\"questions\": %zu, \"tasks_posted\": %zu, \"pairs_purchased\": "
-        "%zu, \"pairs_inferred\": %zu, \"worker_answers\": %zu, "
-        "\"inferred_fraction\": %.6f, \"task_reduction\": %.6f, "
-        "\"precision\": %.6f, \"recall\": %.6f, \"certified\": %s, "
-        "\"tasks_le_questions\": %s, \"thread_invariant\": %s}%s\n",
-        r.workload.c_str(), r.certifier.c_str(), r.pairs, r.questions,
-        r.tasks_posted, r.pairs_purchased, r.pairs_inferred, r.worker_answers,
-        r.inferred_fraction, r.task_reduction, r.precision, r.recall,
-        r.certified ? "true" : "false",
-        r.tasks_le_questions ? "true" : "false",
-        r.thread_invariant ? "true" : "false",
-        i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonFields head;
+  head.emplace_back("bench", "crowd");
+  head.emplace_back("alpha", target, "%g");
+  head.emplace_back("beta", target, "%g");
+  head.emplace_back("theta", target, "%g");
+  head.emplace_back("task_capacity", capacity);
+  head.emplace_back("workers_per_pair", crowd_options.workers_per_pair);
+  head.emplace_back("worker_error_rate", crowd_options.worker_error_rate, "%g");
+  if (!bench::WriteBenchJson("crowd", head, json_rows)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "crowd bench contract violated; see above\n");

@@ -27,12 +27,10 @@
 //                          genuinely improving moves, so the baseline pins
 //                          a repair that DOES something, not a no-op)
 //   HUMO_ENTITY_MPS_FLOOR  minimum cluster Mpairs/sec (default 1.0)
-//   HUMO_BENCH_ENTITIES_JSON  output path (default BENCH_entities.json)
 
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -235,43 +233,32 @@ int main() {
                 r.thread_invariant ? "yes" : "no");
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_ENTITIES_JSON", "BENCH_entities.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonFields& f = json_rows.emplace_back();
+    f.emplace_back("pairs", r.pairs);
+    f.emplace_back("records", r.records);
+    f.emplace_back("entities", r.entities);
+    f.emplace_back("noise_flips", r.noise_flips);
+    f.emplace_back("cluster_ms", r.cluster_ms, "%.2f");
+    f.emplace_back("cluster_mpairs_per_sec", r.cluster_mpairs_per_sec, "%.2f");
+    f.emplace_back("repair_ms", r.repair_ms, "%.2f");
+    f.emplace_back("conflict_components", r.conflict_components);
+    f.emplace_back("moves_applied", r.moves_applied);
+    f.emplace_back("disagreements_before", r.disagreements_before);
+    f.emplace_back("disagreements_after", r.disagreements_after);
+    f.emplace_back("exact_recovery", r.exact_recovery);
+    f.emplace_back("repaired_transitive", r.repaired_transitive);
+    f.emplace_back("thread_invariant", r.thread_invariant);
+    f.emplace_back("entity_precision", r.entity_precision, "%.6f");
+    f.emplace_back("entity_recall", r.entity_recall, "%.6f");
+    f.emplace_back("jaccard_agreement", r.jaccard_agreement, "%.6f");
   }
-  json << "{\n"
-       << "  \"bench\": \"entities\",\n"
-       << "  \"noise\": " << noise << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[768];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"pairs\": %zu, \"records\": %zu, \"entities\": %zu, "
-        "\"noise_flips\": %zu, \"cluster_ms\": %.2f, "
-        "\"cluster_mpairs_per_sec\": %.2f, \"repair_ms\": %.2f, "
-        "\"conflict_components\": %zu, \"moves_applied\": %zu, "
-        "\"disagreements_before\": %zu, \"disagreements_after\": %zu, "
-        "\"exact_recovery\": %s, \"repaired_transitive\": %s, "
-        "\"thread_invariant\": %s, \"entity_precision\": %.6f, "
-        "\"entity_recall\": %.6f, \"jaccard_agreement\": %.6f}%s\n",
-        r.pairs, r.records, r.entities, r.noise_flips, r.cluster_ms,
-        r.cluster_mpairs_per_sec, r.repair_ms, r.conflict_components,
-        r.moves_applied, r.disagreements_before, r.disagreements_after,
-        r.exact_recovery ? "true" : "false",
-        r.repaired_transitive ? "true" : "false",
-        r.thread_invariant ? "true" : "false", r.entity_precision,
-        r.entity_recall, r.jaccard_agreement,
-        i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonFields head;
+  head.emplace_back("bench", "entities");
+  head.emplace_back("noise", noise, "%g");
+  head.emplace_back("reps", reps);
+  if (!bench::WriteBenchJson("entities", head, json_rows)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "entity contracts violated; see above\n");

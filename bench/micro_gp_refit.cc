@@ -8,8 +8,8 @@
 //            (one cross-Gram build + one blocked multi-RHS solve)
 //
 // across training sizes n in {64, 128, 256, 512}. Results go to stdout and,
-// machine-readably, to BENCH_gp_refit.json (override: HUMO_BENCH_GP_JSON) so
-// successive PRs can track the speedup trajectory next to BENCH_runtime.json.
+// machine-readably, to BENCH_gp_refit.json in the working directory, the
+// contract tools/check_bench_regression.py gates against the committed copy.
 //
 // The bench also *checks* the contracts it advertises — batch predictions
 // must equal per-point predictions bit-for-bit and the appended fit must
@@ -22,16 +22,15 @@
 //   HUMO_GP_BENCH_ROUNDS   appended-observation rounds per size (default 8)
 //   HUMO_GP_BENCH_QUERIES  prediction batch size (default 100)
 //   HUMO_GP_BENCH_REPS     timing repetitions, best-of (default 3)
-//   HUMO_BENCH_GP_JSON     output path (default BENCH_gp_refit.json)
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "humo.h"
 
 using namespace humo;
@@ -202,8 +201,6 @@ int main() {
   const size_t queries =
       static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_QUERIES", 100));
   const size_t reps = static_cast<size_t>(GetEnvInt64("HUMO_GP_BENCH_REPS", 3));
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_GP_JSON", "BENCH_gp_refit.json");
 
   std::printf("micro_gp_refit: incremental GP refits and batched prediction\n");
   std::printf("threads=%zu rounds=%zu queries=%zu reps=%zu\n\n",
@@ -222,32 +219,23 @@ int main() {
     results.push_back(r);
   }
 
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> rows;
+  for (const SizeResult& r : results) {
+    bench::JsonFields& f = rows.emplace_back();
+    f.emplace_back("n", r.n);
+    f.emplace_back("refit_full_ms", r.refit_full_ms, "%.6f");
+    f.emplace_back("refit_incremental_ms", r.refit_incremental_ms, "%.6f");
+    f.emplace_back("refit_speedup", r.refit_speedup);
+    f.emplace_back("predict_per_point_ms", r.predict_per_point_ms, "%.6f");
+    f.emplace_back("predict_batch_ms", r.predict_batch_ms, "%.6f");
+    f.emplace_back("predict_speedup", r.predict_speedup);
   }
-  json << "{\n"
-       << "  \"bench\": \"micro_gp_refit\",\n"
-       << "  \"threads\": " << ThreadPool::Global()->num_threads() << ",\n"
-       << "  \"rounds\": " << rounds << ",\n"
-       << "  \"queries\": " << queries << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"n\": %zu, \"refit_full_ms\": %.6f, "
-                  "\"refit_incremental_ms\": %.6f, \"refit_speedup\": %.3f, "
-                  "\"predict_per_point_ms\": %.6f, \"predict_batch_ms\": %.6f, "
-                  "\"predict_speedup\": %.3f}%s\n",
-                  r.n, r.refit_full_ms, r.refit_incremental_ms,
-                  r.refit_speedup, r.predict_per_point_ms, r.predict_batch_ms,
-                  r.predict_speedup, i + 1 < results.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonFields head;
+  head.emplace_back("bench", "micro_gp_refit");
+  head.emplace_back("threads", ThreadPool::Global()->num_threads());
+  head.emplace_back("rounds", rounds);
+  head.emplace_back("queries", queries);
+  head.emplace_back("reps", reps);
+  if (!bench::WriteBenchJson("gp_refit", head, rows)) return 1;
   return 0;
 }

@@ -12,11 +12,12 @@
 //                     token ids, SIMD-scored)
 //   lsh_recall        fraction of the exact blocker's MATCHED pairs the
 //                     LSH workload retains (gated: >= recall floor)
-//   string_score_ms   scoring every LSH candidate through the legacy
-//                     string path (tokenize + set-intersect per call)
-//   simd_score_ms     the same pairs through BatchScorePairs (id kernels,
-//                     AVX2 when available) — simd_speedup is the ratio the
-//                     CI perf gate tracks
+//   string_score_ms   ms per pass scoring every candidate through the
+//                     legacy string path (tokenize + set-intersect per call)
+//   simd_score_ms     ms per pass over the same pairs through
+//                     BatchScorePairs (id kernels, AVX2 when available);
+//                     both are timed over >= 200 ms of repeated passes.
+//                     simd_speedup is the ratio the CI perf gate tracks
 //   scores_identical  1 when the SIMD scores are BIT-IDENTICAL to the
 //                     string path on every candidate (enforced, exit 1)
 //   samp_* / risk_*   SAMP / RISK certification over the LSH workload
@@ -43,7 +44,6 @@
 //   HUMO_RECORDS_RUN_PAIRS     external-sort run size (default 1000000)
 //   HUMO_RECORDS_MMAP_PATH     columnar file location (default
 //                              "/tmp/humo_records.humocol"; removed after)
-//   HUMO_BENCH_RECORDS_JSON    output path (default BENCH_records.json)
 
 #include <sys/resource.h>
 
@@ -56,6 +56,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_common.h"
 #include "humo.h"
 
 using namespace humo;
@@ -72,6 +73,32 @@ double PeakRssMb() {
   struct rusage usage;
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
+}
+
+// One scoring pass over the 100k row takes a few milliseconds through the
+// id kernels, too short to time stably: simd_speedup swung by a third
+// between runs. Each timed region therefore repeats the pass at least this
+// long.
+constexpr double kMinTimedMs = 200.0;
+
+/// Milliseconds per call of `pass`: back-to-back calls until kMinTimedMs
+/// have elapsed, divided by the call count; best of `reps` such regions.
+template <typename Pass>
+double MsPerPass(size_t reps, Pass pass) {
+  double best = 0.0;
+  for (size_t rep = 0; rep < reps; ++rep) {
+    const double t0 = NowMs();
+    size_t passes = 0;
+    double elapsed = 0.0;
+    do {
+      pass();
+      ++passes;
+      elapsed = NowMs() - t0;
+    } while (elapsed < kMinTimedMs);
+    const double ms = elapsed / static_cast<double>(passes);
+    best = rep == 0 ? ms : std::min(best, ms);
+  }
+  return best;
 }
 
 std::vector<size_t> ParseScales(const std::string& csv) {
@@ -210,26 +237,19 @@ int RunScale(size_t scale, size_t reps, bool certify, double recall_floor,
   }
   out->score_pairs = candidates.left.size();
   std::vector<double> string_scores(candidates.left.size());
-  for (size_t rep = 0; rep < reps; ++rep) {
-    t0 = NowMs();
+  out->string_score_ms = MsPerPass(reps, [&] {
     for (size_t k = 0; k < candidates.left.size(); ++k) {
       string_scores[k] =
           scorer(tables.left[candidates.left[k]],
                  tables.right[candidates.right[k]]);
     }
-    const double ms = NowMs() - t0;
-    out->string_score_ms =
-        rep == 0 ? ms : std::min(out->string_score_ms, ms);
-  }
+  });
   std::vector<double> simd_scores(candidates.left.size());
-  for (size_t rep = 0; rep < reps; ++rep) {
-    t0 = NowMs();
+  out->simd_score_ms = MsPerPass(reps, [&] {
     data::BatchScorePairs(left_cols, right_cols, candidates.left.data(),
                           candidates.right.data(), candidates.left.size(),
                           text::IdSetMetric::kJaccard, simd_scores.data());
-    const double ms = NowMs() - t0;
-    out->simd_score_ms = rep == 0 ? ms : std::min(out->simd_score_ms, ms);
-  }
+  });
   out->simd_speedup = out->string_score_ms / out->simd_score_ms;
 
   // Contract: the id kernels reproduce the string path BIT FOR BIT.
@@ -473,8 +493,6 @@ int main() {
       static_cast<size_t>(GetEnvInt64("HUMO_RECORDS_RUN_PAIRS", 1000000));
   const std::string mmap_path =
       GetEnvString("HUMO_RECORDS_MMAP_PATH", "/tmp/humo_records.humocol");
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_RECORDS_JSON", "BENCH_records.json");
 
   std::printf(
       "bench_records_scale: raw-record resolution (threads=%zu, reps=%zu, "
@@ -512,60 +530,52 @@ int main() {
         mmap_result.peak_rss_mb);
   }
 
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> rows;
+  for (const RecordsResult& r : results) {
+    bench::JsonFields& f = rows.emplace_back();
+    f.emplace_back("scale", r.scale);
+    f.emplace_back("records", r.records);
+    f.emplace_back("tokenize_ms", r.tokenize_ms);
+    f.emplace_back("exact_pairs", r.exact_pairs);
+    f.emplace_back("exact_ms", r.exact_ms);
+    f.emplace_back("lsh_pairs", r.lsh_pairs);
+    f.emplace_back("lsh_ms", r.lsh_ms);
+    f.emplace_back("lsh_recall", r.lsh_recall, "%.5f");
+    f.emplace_back("score_pairs", r.score_pairs);
+    f.emplace_back("string_score_ms", r.string_score_ms);
+    f.emplace_back("simd_score_ms", r.simd_score_ms);
+    f.emplace_back("simd_speedup", r.simd_speedup);
+    f.emplace_back("scores_identical", r.scores_identical);
+    f.emplace_back("samp_ms", r.samp_ms);
+    f.emplace_back("samp_cost", r.samp_cost);
+    f.emplace_back("samp_precision", r.samp_precision, "%.17g");
+    f.emplace_back("samp_recall", r.samp_recall, "%.17g");
+    f.emplace_back("risk_ms", r.risk_ms);
+    f.emplace_back("risk_cost", r.risk_cost);
+    f.emplace_back("peak_rss_mb", r.peak_rss_mb, "%.1f");
   }
-  json << "{\n"
-       << "  \"bench\": \"records_scale\",\n"
-       << "  \"threads\": " << ThreadPool::Global()->num_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"subset_size\": " << kSubsetSize << ",\n"
-       << "  \"avx2\": " << (text::internal::CpuHasAvx2() ? "true" : "false")
-       << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const RecordsResult& r = results[i];
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"scale\": %zu, \"records\": %zu, \"tokenize_ms\": %.3f, "
-        "\"exact_pairs\": %zu, \"exact_ms\": %.3f, \"lsh_pairs\": %zu, "
-        "\"lsh_ms\": %.3f, \"lsh_recall\": %.5f, \"score_pairs\": %zu, "
-        "\"string_score_ms\": %.3f, \"simd_score_ms\": %.3f, "
-        "\"simd_speedup\": %.3f, \"scores_identical\": %d, "
-        "\"samp_ms\": %.3f, \"samp_cost\": %lld, "
-        "\"samp_precision\": %.17g, \"samp_recall\": %.17g, "
-        "\"risk_ms\": %.3f, \"risk_cost\": %lld, \"peak_rss_mb\": %.1f}%s\n",
-        r.scale, r.records, r.tokenize_ms, r.exact_pairs, r.exact_ms,
-        r.lsh_pairs, r.lsh_ms, r.lsh_recall, r.score_pairs,
-        r.string_score_ms, r.simd_score_ms, r.simd_speedup,
-        r.scores_identical, r.samp_ms, r.samp_cost, r.samp_precision,
-        r.samp_recall, r.risk_ms, r.risk_cost, r.peak_rss_mb,
-        i + 1 < results.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ],\n";
+  bench::JsonFields head;
+  head.emplace_back("bench", "records_scale");
+  head.emplace_back("threads", ThreadPool::Global()->num_threads());
+  head.emplace_back("reps", reps);
+  head.emplace_back("subset_size", kSubsetSize);
+  head.emplace_back("avx2", text::internal::CpuHasAvx2());
+  bench::JsonFields tail = {{"mmap", nullptr}};
   if (ran_mmap) {
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "  \"mmap\": {\"pairs\": %zu, \"run_pairs\": %zu, "
-        "\"write_ms\": %.3f, \"open_ms\": %.3f, \"mapped_mb\": %.1f, "
-        "\"samp_ms\": %.3f, \"samp_cost\": %lld, "
-        "\"samp_precision\": %.17g, \"samp_recall\": %.17g, "
-        "\"verified_against_ram\": %d, \"peak_rss_mb\": %.1f}\n",
-        mmap_result.pairs, mmap_result.run_pairs, mmap_result.write_ms,
-        mmap_result.open_ms, mmap_result.mapped_mb, mmap_result.samp_ms,
-        mmap_result.samp_cost, mmap_result.samp_precision,
-        mmap_result.samp_recall, mmap_result.verified_against_ram,
-        mmap_result.peak_rss_mb);
-    json << buf;
-  } else {
-    json << "  \"mmap\": null\n";
+    const MmapResult& m = mmap_result;
+    bench::JsonFields mmap;
+    mmap.emplace_back("pairs", m.pairs);
+    mmap.emplace_back("run_pairs", m.run_pairs);
+    mmap.emplace_back("write_ms", m.write_ms);
+    mmap.emplace_back("open_ms", m.open_ms);
+    mmap.emplace_back("mapped_mb", m.mapped_mb, "%.1f");
+    mmap.emplace_back("samp_ms", m.samp_ms);
+    mmap.emplace_back("samp_cost", m.samp_cost);
+    mmap.emplace_back("samp_precision", m.samp_precision, "%.17g");
+    mmap.emplace_back("samp_recall", m.samp_recall, "%.17g");
+    mmap.emplace_back("verified_against_ram", m.verified_against_ram);
+    mmap.emplace_back("peak_rss_mb", m.peak_rss_mb, "%.1f");
+    tail = {{"mmap", mmap}};
   }
-  json << "}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  return bench::WriteBenchJson("records", head, rows, tail) ? 0 : 1;
 }

@@ -9,9 +9,9 @@
 //   RISK       SAMP's DH, risk-ordered PARTIAL inspection (r-HUMO-style)
 //   HYBR_RISK  HYBR's range selection + risk-ordered partial inspection
 //
-// Results go to stdout and, machine-readably, to BENCH_risk.json (override:
-// HUMO_BENCH_RISK_JSON) so successive PRs can track the budget trajectory
-// next to BENCH_runtime.json / BENCH_gp_refit.json.
+// Results go to stdout and, machine-readably, to BENCH_risk.json in the
+// working directory, the contract tools/check_bench_regression.py gates
+// against the committed copy.
 //
 // The bench *checks* the contract it advertises — at every cell the
 // risk-aware optimizer's mean cost must not exceed SAMP's (the two share
@@ -25,10 +25,8 @@
 //   HUMO_RISK_BENCH_PAIRS_AB  AB workload size (default 60000)
 //   HUMO_TRIALS               randomized trials per cell (default 5 here)
 //   HUMO_SEED                 base sampling seed (default 1000)
-//   HUMO_BENCH_RISK_JSON      output path (default BENCH_risk.json)
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -205,35 +203,25 @@ int main() {
                 c.success_rate, c.mean_machine_labeled);
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_RISK_JSON", "BENCH_risk.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> rows;
+  for (const Cell& c : cells) {
+    bench::JsonFields& f = rows.emplace_back();
+    f.emplace_back("workload", c.workload);
+    f.emplace_back("alpha", c.alpha, "%.2f");
+    f.emplace_back("beta", c.alpha, "%.2f");
+    f.emplace_back("optimizer", c.optimizer);
+    f.emplace_back("trials", c.trials);
+    f.emplace_back("mean_cost_fraction", c.mean_cost_fraction, "%.6f");
+    f.emplace_back("mean_precision", c.mean_precision, "%.6f");
+    f.emplace_back("mean_recall", c.mean_recall, "%.6f");
+    f.emplace_back("success_rate", c.success_rate, "%.4f");
+    f.emplace_back("mean_machine_labeled", c.mean_machine_labeled, "%.1f");
   }
-  json << "{\n"
-       << "  \"bench\": \"risk_vs_humo\",\n"
-       << "  \"theta\": " << theta << ",\n"
-       << "  \"trials\": " << trials << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    char buf[512];
-    std::snprintf(buf, sizeof(buf),
-                  "    {\"workload\": \"%s\", \"alpha\": %.2f, \"beta\": "
-                  "%.2f, \"optimizer\": \"%s\", \"trials\": %zu, "
-                  "\"mean_cost_fraction\": %.6f, \"mean_precision\": %.6f, "
-                  "\"mean_recall\": %.6f, \"success_rate\": %.4f, "
-                  "\"mean_machine_labeled\": %.1f}%s\n",
-                  c.workload.c_str(), c.alpha, c.alpha, c.optimizer.c_str(),
-                  c.trials, c.mean_cost_fraction, c.mean_precision,
-                  c.mean_recall, c.success_rate, c.mean_machine_labeled,
-                  i + 1 < cells.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonFields head;
+  head.emplace_back("bench", "risk_vs_humo");
+  head.emplace_back("theta", theta, "%g");
+  head.emplace_back("trials", trials);
+  if (!bench::WriteBenchJson("risk", head, rows)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "risk-vs-humo contract violated; see above\n");

@@ -39,17 +39,16 @@
 //   HUMO_SCALE_BLOCK_MAX_PAIRS  cap on the blocking stage's candidate
 //                               count (default 1000000; 0 disables)
 //   HUMO_SCALE_GOLDEN           run the DS/AB golden self-check (default 1)
-//   HUMO_BENCH_SCALE_JSON       output path (default BENCH_scale.json)
 
 #include <sys/resource.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench_common.h"
 #include "humo.h"
 
 using namespace humo;
@@ -349,8 +348,6 @@ int main() {
   const size_t block_max =
       static_cast<size_t>(GetEnvInt64("HUMO_SCALE_BLOCK_MAX_PAIRS", 1000000));
   const bool golden = GetEnvInt64("HUMO_SCALE_GOLDEN", 1) != 0;
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_SCALE_JSON", "BENCH_scale.json");
 
   std::printf("bench_scale: million-pair hot paths (threads=%zu, reps=%zu)\n\n",
               ThreadPool::Global()->num_threads(), reps);
@@ -383,38 +380,33 @@ int main() {
     results.push_back(r);
   }
 
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> rows;
+  for (const ScaleResult& r : results) {
+    bench::JsonFields& f = rows.emplace_back();
+    f.emplace_back("scale", r.scale);
+    f.emplace_back("gen_ms", r.gen_ms);
+    f.emplace_back("block_pairs", r.block_pairs);
+    f.emplace_back("block_ms", r.block_ms);
+    f.emplace_back("build_ms", r.build_ms);
+    f.emplace_back("build_legacy_ms", r.build_legacy_ms);
+    f.emplace_back("build_speedup", r.build_speedup);
+    f.emplace_back("partition_ms", r.partition_ms);
+    f.emplace_back("partition_legacy_ms", r.partition_legacy_ms);
+    f.emplace_back("partition_speedup", r.partition_speedup);
+    f.emplace_back("samp_ms", r.samp_ms);
+    f.emplace_back("samp_cost", r.samp_cost);
+    f.emplace_back("samp_precision", r.samp_precision, "%.17g");
+    f.emplace_back("samp_recall", r.samp_recall, "%.17g");
+    f.emplace_back("oracle_answer_mb", r.oracle_answer_mb);
+    f.emplace_back("risk_ms", r.risk_ms);
+    f.emplace_back("risk_cost", r.risk_cost);
+    f.emplace_back("peak_rss_mb", r.peak_rss_mb, "%.1f");
   }
-  json << "{\n"
-       << "  \"bench\": \"scale\",\n"
-       << "  \"threads\": " << ThreadPool::Global()->num_threads() << ",\n"
-       << "  \"reps\": " << reps << ",\n"
-       << "  \"subset_size\": " << kSubsetSize << ",\n"
-       << "  \"golden_ok\": " << (golden_ok ? "true" : "false") << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < results.size(); ++i) {
-    const ScaleResult& r = results[i];
-    char buf[1024];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"scale\": %zu, \"gen_ms\": %.3f, \"block_pairs\": %zu, "
-        "\"block_ms\": %.3f, \"build_ms\": %.3f, \"build_legacy_ms\": %.3f, "
-        "\"build_speedup\": %.3f, \"partition_ms\": %.3f, "
-        "\"partition_legacy_ms\": %.3f, \"partition_speedup\": %.3f, "
-        "\"samp_ms\": %.3f, \"samp_cost\": %lld, \"samp_precision\": %.17g, "
-        "\"samp_recall\": %.17g, \"oracle_answer_mb\": %.3f, "
-        "\"risk_ms\": %.3f, \"risk_cost\": %lld, \"peak_rss_mb\": %.1f}%s\n",
-        r.scale, r.gen_ms, r.block_pairs, r.block_ms, r.build_ms,
-        r.build_legacy_ms, r.build_speedup, r.partition_ms,
-        r.partition_legacy_ms, r.partition_speedup, r.samp_ms, r.samp_cost,
-        r.samp_precision, r.samp_recall, r.oracle_answer_mb, r.risk_ms,
-        r.risk_cost, r.peak_rss_mb, i + 1 < results.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
-  return 0;
+  bench::JsonFields head;
+  head.emplace_back("bench", "scale");
+  head.emplace_back("threads", ThreadPool::Global()->num_threads());
+  head.emplace_back("reps", reps);
+  head.emplace_back("subset_size", kSubsetSize);
+  head.emplace_back("golden_ok", golden_ok);
+  return bench::WriteBenchJson("scale", head, rows) ? 0 : 1;
 }

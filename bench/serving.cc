@@ -23,12 +23,10 @@
 //   HUMO_SERVE_READERS    reader threads (default 4)
 //   HUMO_SERVE_CROWD      crowd worker threads (default 2)
 //   HUMO_SERVE_LPS_FLOOR  minimum sustained lookups/sec (default 1000000)
-//   HUMO_BENCH_SERVING_JSON  output path (default BENCH_serving.json)
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -328,42 +326,32 @@ int main() {
                 r.certified ? "yes" : "no");
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_SERVING_JSON", "BENCH_serving.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonFields& f = json_rows.emplace_back();
+    f.emplace_back("workload", r.workload);
+    f.emplace_back("pairs", r.pairs);
+    f.emplace_back("shards", r.shards);
+    f.emplace_back("readers", r.readers);
+    f.emplace_back("crowd_workers", r.crowd_workers);
+    f.emplace_back("lookups_total", r.lookups_total);
+    f.emplace_back("mutate_ms", r.mutate_ms, "%.2f");
+    f.emplace_back("lookups_per_sec", r.lookups_per_sec, "%.0f");
+    f.emplace_back("snapshots_published", r.snapshots_published);
+    f.emplace_back("reviews_folded", r.reviews_folded);
+    f.emplace_back("drained_equals_synchronous", r.drained_equals_synchronous);
+    f.emplace_back("snapshots_consistent", r.snapshots_consistent);
+    f.emplace_back("streaming_cost", r.streaming_cost);
+    f.emplace_back("sync_cost", r.sync_cost);
+    f.emplace_back("certified", r.certified);
+    f.emplace_back("sync_ms", r.sync_ms, "%.2f");
   }
-  json << "{\n"
-       << "  \"bench\": \"serving\",\n"
-       << "  \"alpha\": " << req.alpha << ",\n"
-       << "  \"beta\": " << req.beta << ",\n"
-       << "  \"theta\": " << req.theta << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"workload\": \"%s\", \"pairs\": %zu, \"shards\": %zu, "
-        "\"readers\": %zu, \"crowd_workers\": %zu, \"lookups_total\": %zu, "
-        "\"mutate_ms\": %.2f, \"lookups_per_sec\": %.0f, "
-        "\"snapshots_published\": %zu, \"reviews_folded\": %zu, "
-        "\"drained_equals_synchronous\": %s, \"snapshots_consistent\": %s, "
-        "\"streaming_cost\": %zu, \"sync_cost\": %zu, \"certified\": %s, "
-        "\"sync_ms\": %.2f}%s\n",
-        r.workload.c_str(), r.pairs, r.shards, r.readers, r.crowd_workers,
-        r.lookups_total, r.mutate_ms, r.lookups_per_sec,
-        r.snapshots_published, r.reviews_folded,
-        r.drained_equals_synchronous ? "true" : "false",
-        r.snapshots_consistent ? "true" : "false", r.streaming_cost,
-        r.sync_cost, r.certified ? "true" : "false", r.sync_ms,
-        i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonFields head;
+  head.emplace_back("bench", "serving");
+  head.emplace_back("alpha", req.alpha, "%g");
+  head.emplace_back("beta", req.beta, "%g");
+  head.emplace_back("theta", req.theta, "%g");
+  if (!bench::WriteBenchJson("serving", head, json_rows)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "serving contracts violated; see above\n");

@@ -21,11 +21,9 @@
 // Environment knobs (all optional):
 //   HUMO_STREAM_BENCH_PAIRS_DS   DS workload size (default 20000; CI 8000)
 //   HUMO_STREAM_BENCH_PAIRS_AB   AB workload size (default 60000; CI 20000)
-//   HUMO_BENCH_STREAMING_JSON    output path (default BENCH_streaming.json)
 
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -248,40 +246,31 @@ int main() {
                 r.identical_labels ? "yes" : "no");
   }
 
-  const std::string out_path =
-      GetEnvString("HUMO_BENCH_STREAMING_JSON", "BENCH_streaming.json");
-  std::ofstream json(out_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
+  std::vector<bench::JsonFields> json_rows;
+  for (const Row& r : rows) {
+    bench::JsonFields& f = json_rows.emplace_back();
+    f.emplace_back("workload", r.workload);
+    f.emplace_back("mode", r.mode);
+    f.emplace_back("certifier", r.certifier);
+    f.emplace_back("shards", r.shards);
+    f.emplace_back("order", r.order);
+    f.emplace_back("pairs", r.pairs);
+    f.emplace_back("oneshot_cost", r.oneshot_cost);
+    f.emplace_back("streaming_cost", r.streaming_cost);
+    f.emplace_back("final_certify_cost", r.final_certify_cost);
+    f.emplace_back("reused_answers", r.reused_answers);
+    f.emplace_back("cost_ratio", r.cost_ratio, "%.6f");
+    f.emplace_back("identical_labels", r.identical_labels);
+    f.emplace_back("oneshot_ms", r.oneshot_ms, "%.2f");
+    f.emplace_back("streaming_ms", r.streaming_ms, "%.2f");
+    f.emplace_back("wall_ratio", r.wall_ratio);
   }
-  json << "{\n"
-       << "  \"bench\": \"streaming\",\n"
-       << "  \"alpha\": " << req.alpha << ",\n"
-       << "  \"beta\": " << req.beta << ",\n"
-       << "  \"theta\": " << req.theta << ",\n"
-       << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char buf[640];
-    std::snprintf(
-        buf, sizeof(buf),
-        "    {\"workload\": \"%s\", \"mode\": \"%s\", \"certifier\": \"%s\", "
-        "\"shards\": %zu, \"order\": \"%s\", \"pairs\": %zu, "
-        "\"oneshot_cost\": %zu, \"streaming_cost\": %zu, "
-        "\"final_certify_cost\": %zu, \"reused_answers\": %zu, "
-        "\"cost_ratio\": %.6f, \"identical_labels\": %s, "
-        "\"oneshot_ms\": %.2f, \"streaming_ms\": %.2f, "
-        "\"wall_ratio\": %.3f}%s\n",
-        r.workload.c_str(), r.mode.c_str(), r.certifier.c_str(), r.shards,
-        r.order.c_str(), r.pairs, r.oneshot_cost, r.streaming_cost,
-        r.final_certify_cost, r.reused_answers, r.cost_ratio,
-        r.identical_labels ? "true" : "false", r.oneshot_ms, r.streaming_ms,
-        r.wall_ratio, i + 1 < rows.size() ? "," : "");
-    json << buf;
-  }
-  json << "  ]\n}\n";
-  std::printf("\nwrote %s\n", out_path.c_str());
+  bench::JsonFields head;
+  head.emplace_back("bench", "streaming");
+  head.emplace_back("alpha", req.alpha, "%g");
+  head.emplace_back("beta", req.beta, "%g");
+  head.emplace_back("theta", req.theta, "%g");
+  if (!bench::WriteBenchJson("streaming", head, json_rows)) return 1;
 
   if (!contract_ok) {
     std::fprintf(stderr, "streaming contracts violated; see above\n");

@@ -11,8 +11,8 @@
 // the engine-reuse configuration that skips S0 entirely.
 //
 // In addition to the console table, results are written as
-// machine-readable JSON to BENCH_runtime.json (override with
-// HUMO_BENCH_JSON) so successive PRs can track the runtime trajectory.
+// machine-readable JSON to BENCH_runtime.json in the working directory
+// (google benchmark's own --benchmark_out picks another file).
 
 #include <benchmark/benchmark.h>
 
@@ -167,8 +167,7 @@ int main(int argc, char** argv) {
       has_out = true;
     }
   }
-  std::string out_flag = "--benchmark_out=" +
-                         GetEnvString("HUMO_BENCH_JSON", "BENCH_runtime.json");
+  std::string out_flag = "--benchmark_out=BENCH_runtime.json";
   std::string fmt_flag = "--benchmark_out_format=json";
   if (!has_out) {
     args.push_back(out_flag.data());

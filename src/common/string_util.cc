@@ -6,34 +6,6 @@
 
 namespace humo {
 
-std::string ToLower(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s)
-    out.push_back(
-        static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  return out;
-}
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
 std::vector<std::string> SplitAny(std::string_view s, std::string_view seps) {
   std::vector<std::string> out;
   size_t start = std::string_view::npos;
@@ -56,15 +28,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     out.append(parts[i]);
   }
   return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
 }
 
 std::string NormalizeForMatching(std::string_view s) {

@@ -139,7 +139,6 @@
 #include "data/workload.h"
 #include "data/workload_stream.h"
 #include "entity/entity_clustering.h"
-#include "entity/multi_source.h"
 #include "entity/transitivity_repair.h"
 #include "eval/entity_metrics.h"
 #include "eval/evaluation.h"
@@ -153,15 +152,12 @@
 #include "ml/dataset.h"
 #include "ml/linear_svm.h"
 #include "ml/metrics.h"
-#include "ml/scaler.h"
 #include "stats/dawid_skene.h"
-#include "stats/descriptive.h"
 #include "stats/distributions.h"
 #include "stats/proportion.h"
 #include "stats/sampling.h"
 #include "stats/stratified.h"
 #include "text/attribute_similarity.h"
-#include "text/edit_distance.h"
 #include "text/jaro.h"
 #include "text/simd_similarity.h"
 #include "text/tfidf.h"

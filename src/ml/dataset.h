@@ -19,7 +19,6 @@ struct Dataset {
   size_t num_features() const {
     return features.empty() ? 0 : features[0].size();
   }
-  size_t CountPositives() const;
 
   void Add(FeatureVector f, int label);
 };
@@ -32,9 +31,6 @@ struct TrainTestSplit {
 };
 TrainTestSplit SplitDataset(const Dataset& data, double train_fraction,
                             Rng* rng);
-
-/// k-fold cross-validation index sets.
-std::vector<std::vector<size_t>> KFoldIndices(size_t n, size_t k, Rng* rng);
 
 /// Selects the subset of a dataset given by indices.
 Dataset Subset(const Dataset& data, const std::vector<size_t>& indices);

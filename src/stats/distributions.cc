@@ -11,10 +11,6 @@ constexpr double kPi = 3.141592653589793238462643383279502884;
 
 }  // namespace
 
-double NormalPdf(double x) {
-  return std::exp(-0.5 * x * x) / std::sqrt(2.0 * kPi);
-}
-
 double NormalCdf(double x) {
   return 0.5 * std::erfc(-x / std::sqrt(2.0));
 }

@@ -2,9 +2,6 @@
 
 namespace humo::stats {
 
-/// Standard normal probability density function.
-double NormalPdf(double x);
-
 /// Standard normal cumulative distribution function, via erfc for accuracy in
 /// the tails.
 double NormalCdf(double x);

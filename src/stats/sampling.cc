@@ -41,21 +41,4 @@ double SampleBeta(Rng* rng, double a, double b) {
   return ga / denom;
 }
 
-size_t SampleBinomial(Rng* rng, size_t n, double p) {
-  if (n == 0 || p <= 0.0) return 0;
-  if (p >= 1.0) return n;
-  const double np = static_cast<double>(n) * p;
-  const double var = np * (1.0 - p);
-  if (n <= 64 || var < 30.0) {
-    size_t k = 0;
-    for (size_t i = 0; i < n; ++i) k += rng->NextBernoulli(p);
-    return k;
-  }
-  // Normal approximation, adequate for the workload-generation use case.
-  const double draw = rng->NextGaussian(np, std::sqrt(var));
-  const double clamped =
-      std::min(static_cast<double>(n), std::max(0.0, std::round(draw)));
-  return static_cast<size_t>(clamped);
-}
-
 }  // namespace humo::stats

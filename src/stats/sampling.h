@@ -11,8 +11,4 @@ double SampleGamma(Rng* rng, double shape);
 /// Beta(a, b) sample as Ga/(Ga+Gb).
 double SampleBeta(Rng* rng, double a, double b);
 
-/// Binomial(n, p) sample by inversion for small n, normal approximation with
-/// continuity correction clamped to [0, n] for large n*p(1-p).
-size_t SampleBinomial(Rng* rng, size_t n, double p);
-
 }  // namespace humo::stats

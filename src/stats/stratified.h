@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace humo::stats {
 
@@ -49,16 +48,5 @@ struct StratifiedEstimate {
   double LowerBound(double confidence) const;
   double UpperBound(double confidence) const;
 };
-
-/// Combines strata into an estimate of the total number of positives.
-///
-/// Degrees of freedom follow the common stratified-sampling convention
-/// d.f. = sum_i (s_i - 1) over strata that were actually sampled (Cochran
-/// 5A.42 simplification); strata that are fully enumerated contribute no
-/// sampling variance and no d.f.
-StratifiedEstimate CombineStrata(const std::vector<Stratum>& strata);
-
-/// Mean match proportion of the union (R bar of the paper) = total_mean / N.
-double UnionProportion(const StratifiedEstimate& est);
 
 }  // namespace humo::stats

@@ -1,10 +1,8 @@
 #include "text/token_similarity.h"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "common/string_util.h"
-#include "text/jaro.h"
 #include "text/tokenizer.h"
 
 namespace humo::text {
@@ -34,72 +32,6 @@ double JaccardSimilarity(const std::vector<std::string>& a,
 double JaccardSimilarity(std::string_view a, std::string_view b) {
   return JaccardSimilarity(WordTokens(NormalizeForMatching(a)),
                            WordTokens(NormalizeForMatching(b)));
-}
-
-std::vector<std::string> SortedUniqueTokens(std::string_view s) {
-  std::vector<std::string> tokens = WordTokens(NormalizeForMatching(s));
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-  return tokens;
-}
-
-double JaccardSortedUnique(const std::vector<std::string>& a,
-                           const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  size_t i = 0, j = 0, inter = 0;
-  while (i < a.size() && j < b.size()) {
-    const int cmp = a[i].compare(b[j]);
-    if (cmp < 0) {
-      ++i;
-    } else if (cmp > 0) {
-      ++j;
-    } else {
-      ++inter;
-      ++i;
-      ++j;
-    }
-  }
-  const size_t uni = a.size() + b.size() - inter;
-  return uni == 0 ? 1.0
-                  : static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double DiceSimilarity(const std::vector<std::string>& a,
-                      const std::vector<std::string>& b) {
-  const auto sa = TokenSet(a), sb = TokenSet(b);
-  if (sa.empty() && sb.empty()) return 1.0;
-  if (sa.empty() || sb.empty()) return 0.0;
-  const size_t inter = IntersectionSize(sa, sb);
-  return 2.0 * static_cast<double>(inter) /
-         static_cast<double>(sa.size() + sb.size());
-}
-
-double OverlapCoefficient(const std::vector<std::string>& a,
-                          const std::vector<std::string>& b) {
-  const auto sa = TokenSet(a), sb = TokenSet(b);
-  if (sa.empty() && sb.empty()) return 1.0;
-  if (sa.empty() || sb.empty()) return 0.0;
-  const size_t inter = IntersectionSize(sa, sb);
-  return static_cast<double>(inter) /
-         static_cast<double>(std::min(sa.size(), sb.size()));
-}
-
-double QGramJaccard(std::string_view a, std::string_view b, size_t q) {
-  return JaccardSimilarity(QGrams(a, q), QGrams(b, q));
-}
-
-double MongeElkanSimilarity(const std::vector<std::string>& a,
-                            const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  if (a.empty() || b.empty()) return 0.0;
-  double total = 0.0;
-  for (const auto& ta : a) {
-    double best = 0.0;
-    for (const auto& tb : b)
-      best = std::max(best, JaroWinklerSimilarity(ta, tb));
-    total += best;
-  }
-  return total / static_cast<double>(a.size());
 }
 
 }  // namespace humo::text

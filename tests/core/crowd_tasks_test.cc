@@ -9,8 +9,10 @@
 #include "core/oracle.h"
 #include "core/partial_sampling_optimizer.h"
 #include "core/partition.h"
+#include "core/risk_aware_optimizer.h"
 #include "core/solution.h"
 #include "data/entity_graph_generator.h"
+#include "data/pair_simulator.h"
 #include "eval/evaluation.h"
 
 namespace humo::core {
@@ -323,6 +325,38 @@ TEST(CrowdTaskBrokerTest, BitIdenticalAtAnyThreadCount) {
   EXPECT_EQ(serial.stats.pairs_inferred_nonmatch,
             parallel.stats.pairs_inferred_nonmatch);
   EXPECT_EQ(serial.stats.worker_answers, parallel.stats.worker_answers);
+}
+
+TEST(CrowdTaskBrokerTest, RiskOnDegreeOneRecordsPostsFewerTasks) {
+  // bench_crowd's DS/AB RISK rows in small: two-table records of degree 1
+  // leave transitivity nothing to infer, so every question is purchased,
+  // the packed tasks number well under the questions, and RISK still
+  // certifies through the broker.
+  const data::Workload w = data::SimulatePairs(data::DsConfigSmall(555, 4000));
+  const SubsetPartition partition(&w, 200);
+  Oracle oracle(&w);
+  CrowdOptions co;
+  co.worker_error_rate = 0.0;
+  CrowdOracle crowd(&w, co);
+  CrowdTaskOptions two_table;
+  two_table.task_capacity = 10;
+  CrowdTaskBroker broker(&w, &crowd, two_table);
+  oracle.SetAnswerProvider(broker.Provider());
+  RiskAwareOptions ro;
+  ro.sampling.seed = 1000;
+  auto outcome =
+      RiskAwareOptimizer(ro).Resolve(partition, {0.9, 0.9, 0.9}, &oracle);
+  ASSERT_TRUE(outcome.ok());
+
+  const CrowdTaskStats& s = broker.stats();
+  EXPECT_EQ(s.pairs_inferred(), 0u);
+  EXPECT_EQ(s.pairs_purchased, oracle.cost());
+  EXPECT_LE(s.tasks_posted, oracle.cost());
+  EXPECT_LT(static_cast<double>(s.tasks_posted),
+            0.8 * static_cast<double>(oracle.cost()));
+  const eval::Quality q = eval::QualityOf(w, outcome->resolution.labels);
+  EXPECT_GE(q.precision, 0.9);
+  EXPECT_GE(q.recall, 0.9);
 }
 
 TEST(CrowdTaskBrokerTest, InferenceTogglesAreHonored) {

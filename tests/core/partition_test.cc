@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "data/logistic_generator.h"
 
 namespace humo::core {
@@ -62,6 +63,28 @@ TEST(PartitionTest, AvgSimilarityValue) {
   SubsetPartition p(&w, 5);
   // First subset holds similarities 0.0..0.4: mean 0.2.
   EXPECT_NEAR(p[0].avg_similarity, 0.2, 1e-9);
+}
+
+TEST(PartitionTest, AveragesBitIdenticalToSerialSumAtScale) {
+  // bench_scale's partition check in small: the interleaved multi-chain
+  // Rebuild must reproduce a plain left-to-right sum per subset bit for
+  // bit, with the pool fanning out and a remainder in the last subset.
+  Rng rng(77);
+  std::vector<data::InstancePair> pairs;
+  for (uint32_t i = 0; i < 100'037; ++i) {
+    pairs.push_back({i, i, rng.NextDouble(), false});
+  }
+  const data::Workload w(std::move(pairs));
+  ThreadPool::SetGlobalThreads(4);
+  const SubsetPartition p(&w, 200);
+  ThreadPool::SetGlobalThreads(0);
+  ASSERT_EQ(p.num_subsets(), w.size() / 200);
+  for (size_t k = 0; k < p.num_subsets(); ++k) {
+    double acc = 0.0;
+    for (size_t i = p[k].begin; i < p[k].end; ++i) acc += w.Similarity(i);
+    EXPECT_EQ(p[k].avg_similarity, acc / static_cast<double>(p[k].size()))
+        << "subset " << k;
+  }
 }
 
 TEST(PartitionTest, PairsInRange) {

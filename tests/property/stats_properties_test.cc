@@ -6,6 +6,7 @@
 #include "stats/distributions.h"
 #include "stats/proportion.h"
 #include "stats/stratified.h"
+#include "stats/stratified_test_helpers.h"
 
 namespace humo::stats {
 namespace {
@@ -81,36 +82,6 @@ INSTANTIATE_TEST_SUITE_P(
       return "k" + std::to_string(info.param.first) + "_n" +
              std::to_string(info.param.second);
     });
-
-/// Stratified estimates: pooling strata can never reduce the total point
-/// estimate below the sum of parts, and intervals nest sensibly.
-TEST(StratifiedPropertyTest, EstimateAdditivity) {
-  Rng rng(17);
-  for (int rep = 0; rep < 50; ++rep) {
-    std::vector<Stratum> a(3), b(2);
-    auto randomize = [&](std::vector<Stratum>* v) {
-      for (auto& s : *v) {
-        s.population = 50 + rng.NextBelow(500);
-        s.sample_size =
-            2 + rng.NextBelow(std::min<uint64_t>(40, s.population - 1));
-        s.sample_positives = rng.NextBelow(s.sample_size + 1);
-      }
-    };
-    randomize(&a);
-    randomize(&b);
-    std::vector<Stratum> both = a;
-    both.insert(both.end(), b.begin(), b.end());
-    const auto ea = CombineStrata(a);
-    const auto eb = CombineStrata(b);
-    const auto eboth = CombineStrata(both);
-    EXPECT_NEAR(eboth.total_mean, ea.total_mean + eb.total_mean, 1e-9);
-    EXPECT_NEAR(eboth.total_stddev * eboth.total_stddev,
-                ea.total_stddev * ea.total_stddev +
-                    eb.total_stddev * eb.total_stddev,
-                1e-6);
-    EXPECT_EQ(eboth.population, ea.population + eb.population);
-  }
-}
 
 TEST(StratifiedPropertyTest, BoundsAlwaysBracketMean) {
   Rng rng(23);

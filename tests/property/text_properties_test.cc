@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/random.h"
-#include "text/edit_distance.h"
 #include "text/jaro.h"
 #include "text/token_similarity.h"
 
@@ -25,42 +24,11 @@ class TextPropertyTest : public ::testing::Test {
   humo::Rng rng_{12345};
 };
 
-TEST_F(TextPropertyTest, LevenshteinIsAMetric) {
-  for (int rep = 0; rep < 300; ++rep) {
-    const std::string a = RandomWord(&rng_), b = RandomWord(&rng_),
-                      c = RandomWord(&rng_);
-    const size_t dab = LevenshteinDistance(a, b);
-    const size_t dba = LevenshteinDistance(b, a);
-    const size_t dac = LevenshteinDistance(a, c);
-    const size_t dcb = LevenshteinDistance(c, b);
-    EXPECT_EQ(dab, dba);                        // symmetry
-    EXPECT_EQ(LevenshteinDistance(a, a), 0u);   // identity
-    EXPECT_LE(dab, dac + dcb);                  // triangle inequality
-  }
-}
-
-TEST_F(TextPropertyTest, LevenshteinBoundedByLongerLength) {
-  for (int rep = 0; rep < 300; ++rep) {
-    const std::string a = RandomWord(&rng_), b = RandomWord(&rng_);
-    EXPECT_LE(LevenshteinDistance(a, b), std::max(a.size(), b.size()));
-    EXPECT_GE(LevenshteinDistance(a, b),
-              a.size() > b.size() ? a.size() - b.size() : b.size() - a.size());
-  }
-}
-
-TEST_F(TextPropertyTest, DamerauNeverExceedsLevenshtein) {
-  for (int rep = 0; rep < 300; ++rep) {
-    const std::string a = RandomWord(&rng_), b = RandomWord(&rng_);
-    EXPECT_LE(DamerauLevenshteinDistance(a, b), LevenshteinDistance(a, b));
-  }
-}
-
 TEST_F(TextPropertyTest, SimilaritiesInUnitInterval) {
   for (int rep = 0; rep < 300; ++rep) {
     const std::string a = RandomWord(&rng_), b = RandomWord(&rng_);
-    for (double s : {LevenshteinSimilarity(a, b), JaroSimilarity(a, b),
-                     JaroWinklerSimilarity(a, b), LcsSimilarity(a, b),
-                     QGramJaccard(a, b)}) {
+    for (double s : {JaroSimilarity(a, b), JaroWinklerSimilarity(a, b),
+                     JaccardSimilarity(a, b)}) {
       EXPECT_GE(s, 0.0) << a << " / " << b;
       EXPECT_LE(s, 1.0) << a << " / " << b;
     }
@@ -81,34 +49,6 @@ TEST_F(TextPropertyTest, SetSimilaritiesSymmetric) {
     for (size_t i = 0; i < na; ++i) a.push_back(RandomWord(&rng_, 5));
     for (size_t i = 0; i < nb; ++i) b.push_back(RandomWord(&rng_, 5));
     EXPECT_DOUBLE_EQ(JaccardSimilarity(a, b), JaccardSimilarity(b, a));
-    EXPECT_DOUBLE_EQ(DiceSimilarity(a, b), DiceSimilarity(b, a));
-    EXPECT_DOUBLE_EQ(OverlapCoefficient(a, b), OverlapCoefficient(b, a));
-  }
-}
-
-TEST_F(TextPropertyTest, JaccardLeDiceLeOverlap) {
-  // Classic ordering: jaccard <= dice <= overlap for non-empty sets.
-  for (int rep = 0; rep < 200; ++rep) {
-    std::vector<std::string> a, b;
-    const size_t na = 1 + rng_.NextBelow(6), nb = 1 + rng_.NextBelow(6);
-    for (size_t i = 0; i < na; ++i) a.push_back(RandomWord(&rng_, 4));
-    for (size_t i = 0; i < nb; ++i) b.push_back(RandomWord(&rng_, 4));
-    const double j = JaccardSimilarity(a, b);
-    const double d = DiceSimilarity(a, b);
-    const double o = OverlapCoefficient(a, b);
-    EXPECT_LE(j, d + 1e-12);
-    EXPECT_LE(d, o + 1e-12);
-  }
-}
-
-TEST_F(TextPropertyTest, EditDistanceSingleEditNeighbors) {
-  // Mutating one character changes Levenshtein distance by exactly <= 1.
-  for (int rep = 0; rep < 200; ++rep) {
-    std::string a = RandomWord(&rng_, 10);
-    std::string b = a;
-    const size_t pos = rng_.NextBelow(b.size());
-    b[pos] = static_cast<char>('a' + rng_.NextBelow(26));
-    EXPECT_LE(LevenshteinDistance(a, b), 1u);
   }
 }
 

@@ -2,10 +2,28 @@
 
 #include <gtest/gtest.h>
 
-#include "stats/descriptive.h"
-
 namespace humo::stats {
 namespace {
+
+/// Welford mean/variance accumulator for the moment checks below.
+class RunningStats {
+ public:
+  void Add(double x) {
+    ++count_;
+    const double delta = x - mean_;
+    mean_ += delta / static_cast<double>(count_);
+    m2_ += delta * (x - mean_);
+  }
+  double mean() const { return mean_; }
+  double variance() const {
+    return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
+  }
+
+ private:
+  size_t count_ = 0;
+  double mean_ = 0.0;
+  double m2_ = 0.0;
+};
 
 TEST(SampleGammaTest, MeanAndVarianceMatchShape) {
   Rng rng(3);
@@ -52,39 +70,6 @@ TEST(SampleBetaTest, SkewDirection) {
   }
   EXPECT_LT(low.mean(), 0.25);
   EXPECT_GT(high.mean(), 0.75);
-}
-
-TEST(SampleBinomialTest, SmallNExact) {
-  Rng rng(17);
-  RunningStats rs;
-  for (int i = 0; i < 50000; ++i)
-    rs.Add(static_cast<double>(SampleBinomial(&rng, 10, 0.3)));
-  EXPECT_NEAR(rs.mean(), 3.0, 0.05);
-  EXPECT_NEAR(rs.variance(), 2.1, 0.15);
-}
-
-TEST(SampleBinomialTest, LargeNNormalPath) {
-  Rng rng(19);
-  RunningStats rs;
-  const size_t n = 10000;
-  for (int i = 0; i < 5000; ++i)
-    rs.Add(static_cast<double>(SampleBinomial(&rng, n, 0.4)));
-  EXPECT_NEAR(rs.mean(), 4000.0, 30.0);
-}
-
-TEST(SampleBinomialTest, Extremes) {
-  Rng rng(23);
-  EXPECT_EQ(SampleBinomial(&rng, 100, 0.0), 0u);
-  EXPECT_EQ(SampleBinomial(&rng, 100, 1.0), 100u);
-  EXPECT_EQ(SampleBinomial(&rng, 0, 0.5), 0u);
-}
-
-TEST(SampleBinomialTest, ResultNeverExceedsN) {
-  Rng rng(29);
-  for (int i = 0; i < 2000; ++i) {
-    EXPECT_LE(SampleBinomial(&rng, 50, 0.99), 50u);
-    EXPECT_LE(SampleBinomial(&rng, 100000, 0.999), 100000u);
-  }
 }
 
 }  // namespace

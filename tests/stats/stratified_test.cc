@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/random.h"
+#include "stats/stratified_test_helpers.h"
 
 namespace humo::stats {
 namespace {
@@ -41,24 +42,6 @@ TEST(StratumTest, ZeroOrOneProportionHasZeroVariance) {
   EXPECT_DOUBLE_EQ(none.proportion_variance(), 0.0);
 }
 
-TEST(CombineStrataTest, PointEstimateSumsStrata) {
-  std::vector<Stratum> strata = {{100, 10, 5}, {200, 20, 4}};
-  const auto est = CombineStrata(strata);
-  // 100*0.5 + 200*0.2 = 90.
-  EXPECT_NEAR(est.total_mean, 90.0, 1e-12);
-  EXPECT_EQ(est.population, 300u);
-  // df = (10-1) + (20-1) = 28.
-  EXPECT_DOUBLE_EQ(est.degrees_of_freedom, 28.0);
-}
-
-TEST(CombineStrataTest, VarianceAddsAcrossStrata) {
-  std::vector<Stratum> strata = {{100, 10, 5}, {200, 20, 4}};
-  const auto est = CombineStrata(strata);
-  const double v1 = strata[0].proportion_variance() * 100.0 * 100.0;
-  const double v2 = strata[1].proportion_variance() * 200.0 * 200.0;
-  EXPECT_NEAR(est.total_stddev, std::sqrt(v1 + v2), 1e-12);
-}
-
 TEST(CombineStrataTest, BoundsBracketMeanAndClampToPopulation) {
   std::vector<Stratum> strata = {{100, 10, 5}, {200, 20, 4}};
   const auto est = CombineStrata(strata);
@@ -84,19 +67,6 @@ TEST(CombineStrataTest, FullyEnumeratedIsExact) {
   EXPECT_DOUBLE_EQ(est.total_stddev, 0.0);
   EXPECT_DOUBLE_EQ(est.LowerBound(0.99), 30.0);
   EXPECT_DOUBLE_EQ(est.UpperBound(0.99), 30.0);
-}
-
-TEST(CombineStrataTest, UnionProportion) {
-  std::vector<Stratum> strata = {{100, 10, 5}, {100, 10, 1}};
-  const auto est = CombineStrata(strata);
-  EXPECT_NEAR(UnionProportion(est), (50.0 + 10.0) / 200.0, 1e-12);
-}
-
-TEST(CombineStrataTest, EmptyInput) {
-  const auto est = CombineStrata({});
-  EXPECT_DOUBLE_EQ(est.total_mean, 0.0);
-  EXPECT_EQ(est.population, 0u);
-  EXPECT_DOUBLE_EQ(UnionProportion(est), 0.0);
 }
 
 TEST(CombineStrataTest, CoverageSimulation) {
